@@ -80,9 +80,25 @@ Vector& Vector::operator-=(const Vector& other) {
 
 // ---------------------------------------------------------------- Matrix
 
-Matrix::Matrix(Index rows, Index cols, double value) : rows_(rows), cols_(cols) {
-  PARSVD_REQUIRE(rows >= 0 && cols >= 0, "matrix dimensions must be non-negative");
-  data_.assign(static_cast<std::size_t>(rows) * static_cast<std::size_t>(cols), value);
+std::size_t checked_extent(Index rows, Index cols) {
+  if (rows < 0 || cols < 0) {
+    throw DimensionError("matrix dimensions must be non-negative (got " +
+                         std::to_string(rows) + "x" + std::to_string(cols) +
+                         ")");
+  }
+  std::size_t count = 0;
+  if (__builtin_mul_overflow(static_cast<std::size_t>(rows),
+                             static_cast<std::size_t>(cols), &count) ||
+      count > std::vector<double>().max_size()) {
+    throw DimensionError("matrix extent " + std::to_string(rows) + "x" +
+                         std::to_string(cols) + " exceeds addressable storage");
+  }
+  return count;
+}
+
+Matrix::Matrix(Index rows, Index cols, double value)
+    : rows_(rows), cols_(cols) {
+  data_.assign(checked_extent(rows, cols), value);
 }
 
 Matrix::Matrix(std::initializer_list<std::initializer_list<double>> rows) {

@@ -32,6 +32,13 @@ class Rng;
 /// in blocked loops, matching the C++ Core Guidelines' advice ES.107).
 using Index = std::ptrdiff_t;
 
+/// Element count of a rows x cols matrix of doubles. Throws
+/// DimensionError when an extent is negative or the product overflows or
+/// exceeds what a std::vector<double> can hold, so a matrix built from
+/// untrusted dimensions (a file or wire header) can never misreport its
+/// own size.
+std::size_t checked_extent(Index rows, Index cols);
+
 /// Dense vector of doubles with a small math-helper surface.
 class Vector {
  public:

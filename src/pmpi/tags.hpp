@@ -30,15 +30,15 @@
 namespace parsvd::pmpi::tags {
 
 // ----------------------------------------------------- collective tags
-inline constexpr int kBcast = -2;       // binomial-tree / flat broadcast
+// -8 and -10 carried the retired tree gather and recursive-doubling
+// allreduce; they stay unassigned so no surviving tag was renumbered.
+inline constexpr int kBcast = -2;       // binomial-tree broadcast
 inline constexpr int kGather = -3;      // flat gather (root loop)
 inline constexpr int kScatter = -4;     // scatter_rows
 inline constexpr int kReduce = -5;      // flat reduce (root loop)
 inline constexpr int kFtGather = -6;    // fault-tolerant flat gather
 inline constexpr int kFtBcast = -7;     // fault-tolerant flat bcast
-inline constexpr int kGatherTree = -8;  // binomial-tree gather frames
 inline constexpr int kReduceTree = -9;  // binomial-tree reduce partials
-inline constexpr int kAllreduce = -10;  // recursive-doubling exchange
 inline constexpr int kBarrier = -11;    // message-based subgroup barrier
 
 // ------------------------------------------------ solver protocol bands
@@ -131,8 +131,8 @@ static_assert(!is_group_scoped(kBarrier) && !is_group_scoped(kUserBase),
 static_assert(is_group_scoped(group_scope(1, kBcast)) &&
                   is_group_scoped(group_scope(kMaxGroups, kGroupUserLimit - 1)),
               "every band slot must read as group-scoped");
-static_assert(scoped_group(group_scope(7, kAllreduce)) == 7 &&
-                  unscoped(group_scope(7, kAllreduce)) == kAllreduce,
+static_assert(scoped_group(group_scope(7, kReduceTree)) == 7 &&
+                  unscoped(group_scope(7, kReduceTree)) == kReduceTree,
               "group_scope must round-trip collective tags");
 static_assert(scoped_group(group_scope(3, kTsqrUpBase + 5)) == 3 &&
                   unscoped(group_scope(3, kTsqrUpBase + 5)) == kTsqrUpBase + 5,

@@ -684,7 +684,10 @@ bool tag_registered(int tag) {
     if (base >= tags::kGroupUserLimit) return false;
     return base == tags::kBarrier || tag_registered(base);
   }
-  if (tag >= tags::kAllreduce && tag <= tags::kBcast) return true;
+  // World collective tags: -2..-7 and -9. The retired -8 and -10 stay
+  // unregistered, so a post on either is caught.
+  if (tag >= tags::kFtBcast && tag <= tags::kBcast) return true;
+  if (tag == tags::kReduceTree) return true;
   if (tag >= tags::kTsqrUpBase && tag < tags::kApmosGatherBase + tags::kRangeWidth)
     return true;
   return tag >= tags::kUserBase;

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "pmpi/tags.hpp"
+#include "pmpi/topology.hpp"
 #include "support/error.hpp"
 
 namespace parsvd::verify {
@@ -20,27 +21,12 @@ constexpr std::uint64_t matrix_bytes(std::int64_t rows, std::int64_t cols) {
 }
 
 /// Mirror of Communicator::bcast appended onto an existing schedule, so
-/// the composite protocols (allreduce fallback, allgather, TSQR final R)
+/// the composite protocols (allreduce, allgather, TSQR final R)
 /// reuse it exactly as the production code reuses bcast().
 void emit_bcast(Schedule& s, int root, std::uint64_t bytes,
-                const CollectiveConfig& cfg, const std::string& note) {
+                const std::string& note) {
   const int p = s.size();
   if (p == 1) return;
-  if (cfg.algo == pmpi::CollectiveAlgo::Flat) {
-    for (int r = 0; r < p; ++r) {
-      if (r == root) {
-        for (int dst = 0; dst < p; ++dst) {
-          if (dst == root) continue;
-          s.ranks[static_cast<std::size_t>(r)].send(dst, tags::kBcast, bytes,
-                                                    note);
-        }
-      } else {
-        s.ranks[static_cast<std::size_t>(r)].recv(root, tags::kBcast, bytes,
-                                                  note);
-      }
-    }
-    return;
-  }
   for (int r = 0; r < p; ++r) {
     CommScript& script = s.ranks[static_cast<std::size_t>(r)];
     const int vrank = (r - root + p) % p;
@@ -55,64 +41,34 @@ void emit_bcast(Schedule& s, int root, std::uint64_t bytes,
   }
 }
 
-/// Mirror of Communicator::gather_bytes_impl (flat root loop or binomial
-/// tree with framed subtree aggregation).
+/// Mirror of Communicator::gather_bytes_impl (flat root loop).
 void emit_gather(Schedule& s, int root,
                  std::span<const std::uint64_t> bytes_per_rank,
-                 const CollectiveConfig& cfg, const std::string& note) {
+                 const std::string& note) {
   const int p = s.size();
   PARSVD_REQUIRE(static_cast<int>(bytes_per_rank.size()) == p,
                  "emit_gather: need one byte count per rank");
   if (p == 1) return;
-  if (!topo::use_tree_gather(cfg.algo, p, cfg.tree_min_ranks)) {
-    for (int r = 0; r < p; ++r) {
-      if (r == root) continue;
-      s.ranks[static_cast<std::size_t>(r)].send(
-          root, tags::kGather, bytes_per_rank[static_cast<std::size_t>(r)],
-          note);
-    }
-    for (int src = 0; src < p; ++src) {
-      if (src == root) continue;
-      s.ranks[static_cast<std::size_t>(root)].recv(
-          src, tags::kGather, bytes_per_rank[static_cast<std::size_t>(src)],
-          note);
-    }
-    return;
-  }
-  // A node's frame carries its whole virtual subtree [vrank, vrank+n):
-  //   [u64 n][n x (u64 src, u64 nbytes)][payloads...]
-  const auto frame_bytes = [&](int vrank) {
-    const int n = topo::binomial_subtree(vrank, p);
-    std::uint64_t total = sizeof(std::uint64_t) +
-                          static_cast<std::uint64_t>(n) * 2 *
-                              sizeof(std::uint64_t);
-    for (int v = vrank; v < vrank + n; ++v) {
-      total += bytes_per_rank[static_cast<std::size_t>((v + root) % p)];
-    }
-    return total;
-  };
   for (int r = 0; r < p; ++r) {
-    CommScript& script = s.ranks[static_cast<std::size_t>(r)];
-    const int vrank = (r - root + p) % p;
-    for (const int child_v : topo::binomial_children(vrank, p,
-                                                     /*ascending=*/true)) {
-      script.recv((child_v + root) % p, tags::kGatherTree,
-                  frame_bytes(child_v), note + " subtree frame");
-    }
-    if (vrank != 0) {
-      script.send((topo::binomial_parent(vrank) + root) % p, tags::kGatherTree,
-                  frame_bytes(vrank), note + " subtree frame");
-    }
+    if (r == root) continue;
+    s.ranks[static_cast<std::size_t>(r)].send(
+        root, tags::kGather, bytes_per_rank[static_cast<std::size_t>(r)],
+        note);
+  }
+  for (int src = 0; src < p; ++src) {
+    if (src == root) continue;
+    s.ranks[static_cast<std::size_t>(root)].recv(
+        src, tags::kGather, bytes_per_rank[static_cast<std::size_t>(src)],
+        note);
   }
 }
 
 /// Mirror of Communicator::reduce (flat root loop or binomial tree).
 void emit_reduce(Schedule& s, int root, std::uint64_t bytes,
-                 const CollectiveConfig& cfg, const std::string& note) {
+                 const std::string& note) {
   const int p = s.size();
   if (p == 1) return;
-  if (topo::use_tree_reduce(cfg.algo, p, bytes, cfg.tree_min_ranks,
-                            cfg.eager_threshold_bytes)) {
+  if (topo::use_tree_reduce(p, bytes)) {
     for (int r = 0; r < p; ++r) {
       CommScript& script = s.ranks[static_cast<std::size_t>(r)];
       const int vrank = (r - root + p) % p;
@@ -138,126 +94,69 @@ void emit_reduce(Schedule& s, int root, std::uint64_t bytes,
   }
 }
 
-/// Mirror of Communicator::allreduce (recursive doubling above the eager
-/// threshold, reduce-to-0 + bcast below it).
+/// Mirror of Communicator::allreduce: reduce to rank 0, then bcast.
 void emit_allreduce(Schedule& s, std::uint64_t bytes,
-                    const CollectiveConfig& cfg, const std::string& note) {
-  const int p = s.size();
-  if (p == 1) return;
-  if (!topo::use_tree_reduce(cfg.algo, p, bytes, cfg.tree_min_ranks,
-                             cfg.eager_threshold_bytes)) {
-    // allreduce() delegates to reduce(0) + bcast(0); reduce re-evaluates
-    // the same predicate with the same inputs, so it stays flat.
-    emit_reduce(s, 0, bytes, cfg, note + " reduce leg");
-    emit_bcast(s, 0, bytes, cfg, note + " bcast leg");
-    return;
-  }
-  for (int r = 0; r < p; ++r) {
-    CommScript& script = s.ranks[static_cast<std::size_t>(r)];
-    const topo::RdSchedule sched = topo::rd_schedule(r, p);
-    if (sched.folded_out) {
-      script.send(sched.fold_peer, tags::kAllreduce, bytes, note + " fold-in");
-      script.recv(sched.fold_peer, tags::kAllreduce, bytes, note + " fan-out");
-      continue;
-    }
-    if (sched.fold_peer >= 0) {
-      script.recv(sched.fold_peer, tags::kAllreduce, bytes, note + " fold-in");
-    }
-    for (const int partner : sched.partners) {
-      script.send(partner, tags::kAllreduce, bytes, note + " rd exchange");
-      script.recv(partner, tags::kAllreduce, bytes, note + " rd exchange");
-    }
-    if (sched.fold_peer >= 0) {
-      script.send(sched.fold_peer, tags::kAllreduce, bytes, note + " fan-out");
-    }
-  }
-}
-
-std::string algo_name(pmpi::CollectiveAlgo algo) {
-  switch (algo) {
-    case pmpi::CollectiveAlgo::Auto:
-      return "auto";
-    case pmpi::CollectiveAlgo::Flat:
-      return "flat";
-    case pmpi::CollectiveAlgo::Tree:
-      return "tree";
-  }
-  return "?";
+                    const std::string& note) {
+  emit_reduce(s, 0, bytes, note + " reduce leg");
+  emit_bcast(s, 0, bytes, note + " bcast leg");
 }
 
 }  // namespace
 
-std::string CollectiveConfig::suffix() const {
-  return ", algo=" + algo_name(algo) +
-         ", eager=" + std::to_string(eager_threshold_bytes) +
-         ", tmr=" + std::to_string(tree_min_ranks);
-}
-
-Schedule script_bcast(int p, int root, std::uint64_t bytes,
-                      const CollectiveConfig& cfg) {
+Schedule script_bcast(int p, int root, std::uint64_t bytes) {
   Schedule s = make_schedule("bcast(p=" + std::to_string(p) +
                                  ", root=" + std::to_string(root) + ", " +
-                                 std::to_string(bytes) + " B" + cfg.suffix() +
-                                 ")",
+                                 std::to_string(bytes) + " B)",
                              p);
-  emit_bcast(s, root, bytes, cfg, "bcast");
+  emit_bcast(s, root, bytes, "bcast");
   return s;
 }
 
 Schedule script_gather(int p, int root,
-                       std::span<const std::uint64_t> bytes_per_rank,
-                       const CollectiveConfig& cfg) {
+                       std::span<const std::uint64_t> bytes_per_rank) {
   Schedule s = make_schedule("gather(p=" + std::to_string(p) +
-                                 ", root=" + std::to_string(root) +
-                                 cfg.suffix() + ")",
+                                 ", root=" + std::to_string(root) + ")",
                              p);
-  emit_gather(s, root, bytes_per_rank, cfg, "gather");
+  emit_gather(s, root, bytes_per_rank, "gather");
   return s;
 }
 
-Schedule script_allgather(int p, std::uint64_t per_rank_bytes,
-                          const CollectiveConfig& cfg) {
+Schedule script_allgather(int p, std::uint64_t per_rank_bytes) {
   Schedule s = make_schedule("allgather(p=" + std::to_string(p) + ", " +
                                  std::to_string(per_rank_bytes) +
-                                 " B/rank" + cfg.suffix() + ")",
+                                 " B/rank)",
                              p);
   const std::vector<std::uint64_t> per_rank(static_cast<std::size_t>(p),
                                             per_rank_bytes);
-  emit_gather(s, 0, per_rank, cfg, "allgather gather leg");
-  emit_bcast(s, 0, per_rank_bytes * static_cast<std::uint64_t>(p), cfg,
+  emit_gather(s, 0, per_rank, "allgather gather leg");
+  emit_bcast(s, 0, per_rank_bytes * static_cast<std::uint64_t>(p),
              "allgather bcast leg");
   return s;
 }
 
-Schedule script_reduce(int p, int root, std::uint64_t bytes,
-                       const CollectiveConfig& cfg) {
+Schedule script_reduce(int p, int root, std::uint64_t bytes) {
   Schedule s = make_schedule("reduce(p=" + std::to_string(p) +
                                  ", root=" + std::to_string(root) + ", " +
-                                 std::to_string(bytes) + " B" + cfg.suffix() +
-                                 ")",
+                                 std::to_string(bytes) + " B)",
                              p);
-  emit_reduce(s, root, bytes, cfg, "reduce");
+  emit_reduce(s, root, bytes, "reduce");
   return s;
 }
 
-Schedule script_allreduce(int p, std::uint64_t bytes,
-                          const CollectiveConfig& cfg) {
+Schedule script_allreduce(int p, std::uint64_t bytes) {
   Schedule s = make_schedule("allreduce(p=" + std::to_string(p) + ", " +
-                                 std::to_string(bytes) + " B" + cfg.suffix() +
-                                 ")",
+                                 std::to_string(bytes) + " B)",
                              p);
-  emit_allreduce(s, bytes, cfg, "allreduce");
+  emit_allreduce(s, bytes, "allreduce");
   return s;
 }
 
 Schedule script_scatter_rows(int p, int root,
-                             std::span<const std::uint64_t> block_bytes,
-                             const CollectiveConfig& cfg) {
+                             std::span<const std::uint64_t> block_bytes) {
   PARSVD_REQUIRE(static_cast<int>(block_bytes.size()) == p,
                  "script_scatter_rows: need one block size per rank");
   Schedule s = make_schedule("scatter_rows(p=" + std::to_string(p) +
-                                 ", root=" + std::to_string(root) +
-                                 cfg.suffix() + ")",
+                                 ", root=" + std::to_string(root) + ")",
                              p);
   if (p == 1) return s;
   for (int dst = 0; dst < p; ++dst) {
@@ -272,10 +171,9 @@ Schedule script_scatter_rows(int p, int root,
   return s;
 }
 
-Schedule script_tsqr_tree(int p, std::int64_t k, const CollectiveConfig& cfg) {
+Schedule script_tsqr_tree(int p, std::int64_t k) {
   Schedule s = make_schedule("tsqr_tree(p=" + std::to_string(p) +
-                                 ", k=" + std::to_string(k) + cfg.suffix() +
-                                 ")",
+                                 ", k=" + std::to_string(k) + ")",
                              p);
   if (p == 1) return s;
   // With local rows >= k (the documented precondition), every exchanged
@@ -322,15 +220,13 @@ Schedule script_tsqr_tree(int p, std::int64_t k, const CollectiveConfig& cfg) {
                       std::to_string(plan.recvs[i].level));
     }
   }
-  emit_bcast(s, 0, kk, cfg, "final R bcast");
+  emit_bcast(s, 0, kk, "final R bcast");
   return s;
 }
 
 Schedule script_apmos(int p, std::uint64_t w_bytes, std::uint64_t x_bytes,
-                      std::uint64_t lambda_bytes, const CollectiveConfig& cfg) {
-  Schedule s = make_schedule("apmos(p=" + std::to_string(p) + cfg.suffix() +
-                                 ")",
-                             p);
+                      std::uint64_t lambda_bytes) {
+  Schedule s = make_schedule("apmos(p=" + std::to_string(p) + ")", p);
   if (p > 1) {
     // Stage 3: root pre-posts every W receive before its own Stage-1/2
     // factorization and consumes them in completion order (wait_any, so
@@ -349,8 +245,8 @@ Schedule script_apmos(int p, std::uint64_t w_bytes, std::uint64_t x_bytes,
     }
   }
   // Stage 5: result broadcasts.
-  emit_bcast(s, 0, x_bytes, cfg, "X bcast");
-  emit_bcast(s, 0, lambda_bytes, cfg, "lambda bcast");
+  emit_bcast(s, 0, x_bytes, "X bcast");
+  emit_bcast(s, 0, lambda_bytes, "lambda bcast");
   return s;
 }
 
@@ -453,11 +349,10 @@ const char* to_string(GroupProtocol proto) {
 namespace {
 
 Schedule group_protocol_schedule(GroupProtocol proto, int p,
-                                 std::uint64_t bytes,
-                                 const CollectiveConfig& cfg) {
+                                 std::uint64_t bytes) {
   switch (proto) {
     case GroupProtocol::Bcast:
-      return script_bcast(p, 0, bytes, cfg);
+      return script_bcast(p, 0, bytes);
     case GroupProtocol::Gather: {
       // Asymmetric contributions, as gatherv allows.
       std::vector<std::uint64_t> per(static_cast<std::size_t>(p));
@@ -465,20 +360,20 @@ Schedule group_protocol_schedule(GroupProtocol proto, int p,
         per[static_cast<std::size_t>(r)] =
             bytes + 8 * static_cast<std::uint64_t>(r);
       }
-      return script_gather(p, 0, per, cfg);
+      return script_gather(p, 0, per);
     }
     case GroupProtocol::Reduce:
-      return script_reduce(p, 0, bytes, cfg);
+      return script_reduce(p, 0, bytes);
     case GroupProtocol::Allreduce:
-      return script_allreduce(p, bytes, cfg);
+      return script_allreduce(p, bytes);
     case GroupProtocol::Allgather:
-      return script_allgather(p, bytes, cfg);
+      return script_allgather(p, bytes);
     case GroupProtocol::Barrier:
       return script_group_barrier(p);
     case GroupProtocol::TsqrTree:
-      return script_tsqr_tree(p, 3, cfg);
+      return script_tsqr_tree(p, 3);
     case GroupProtocol::Apmos:
-      return script_apmos(p, bytes, bytes, 32, cfg);
+      return script_apmos(p, bytes, bytes, 32);
   }
   PARSVD_REQUIRE(false, "group_protocol_schedule: unknown protocol");
   return make_schedule("?", p);
@@ -488,7 +383,7 @@ Schedule group_protocol_schedule(GroupProtocol proto, int p,
 
 Schedule script_partition(int world_p, std::span<const GroupSpec> groups,
                           std::span<const GroupProtocol> protocols,
-                          std::uint64_t bytes, const CollectiveConfig& cfg) {
+                          std::uint64_t bytes) {
   PARSVD_REQUIRE(groups.size() == protocols.size(),
                  "script_partition: one protocol per group");
   std::string name = "partition(P=" + std::to_string(world_p);
@@ -497,7 +392,7 @@ Schedule script_partition(int world_p, std::span<const GroupSpec> groups,
             std::to_string(groups[i].members.size()) + "]=" +
             to_string(protocols[i]);
   }
-  name += ", " + std::to_string(bytes) + " B" + cfg.suffix() + ")";
+  name += ", " + std::to_string(bytes) + " B)";
   Schedule world = make_schedule(std::move(name), world_p);
   std::vector<bool> claimed(static_cast<std::size_t>(world_p), false);
   for (std::size_t i = 0; i < groups.size(); ++i) {
@@ -509,7 +404,7 @@ Schedule script_partition(int world_p, std::span<const GroupSpec> groups,
       claimed[static_cast<std::size_t>(m)] = true;
     }
     const Schedule local = group_protocol_schedule(
-        protocols[i], static_cast<int>(g.members.size()), bytes, cfg);
+        protocols[i], static_cast<int>(g.members.size()), bytes);
     embed_group_schedule(world, local, g);
   }
   return world;

@@ -1,13 +1,14 @@
-// Non-blocking messaging layer and collective-algorithm sweep: Request
-// lifecycle (isend/irecv/test/wait/wait_any), debug channel discipline,
-// and every collective checked at awkward rank counts under both the
-// flat and the log(P) tree topologies.
+// Non-blocking messaging layer and collective sweep: Request lifecycle
+// (isend/irecv/test/wait/wait_any), debug channel discipline, every
+// collective checked at awkward rank counts on its shipped topology, and
+// the exact wire traffic of the collectives at P >= 8.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
+#include <bit>
+#include <cstdint>
 #include <numeric>
+#include <string>
 #include <thread>
-#include <tuple>
 #include <vector>
 
 #include "pmpi/comm.hpp"
@@ -18,7 +19,6 @@
 namespace parsvd {
 namespace {
 
-using pmpi::CollectiveAlgo;
 using pmpi::Communicator;
 using pmpi::Op;
 using pmpi::Request;
@@ -204,25 +204,17 @@ TEST(CommAsync, CancelReleasesChannel) {
 #endif  // !NDEBUG
 
 // ---------------------------------------------------------------------
-// Collective sweep: every collective × awkward rank counts × topology.
-// Values are small exact integers so flat and tree reductions must agree
-// bit-for-bit despite different association orders.
+// Collective sweep: every collective × awkward rank counts. Values are
+// small exact integers so every reduction association order gives the
+// same result bit-for-bit.
 
-class CollectiveSweep
-    : public ::testing::TestWithParam<std::tuple<int, CollectiveAlgo>> {
+class CollectiveSweep : public ::testing::TestWithParam<int> {
  protected:
-  int ranks() const { return std::get<0>(GetParam()); }
-  CollectiveAlgo algo() const { return std::get<1>(GetParam()); }
-
-  std::shared_ptr<pmpi::Context> make_ctx() const {
-    auto ctx = std::make_shared<pmpi::Context>(ranks());
-    ctx->set_collective_algo(algo());
-    return ctx;
-  }
+  int ranks() const { return GetParam(); }
 };
 
 TEST_P(CollectiveSweep, BcastVector) {
-  pmpi::run_on(make_ctx(), [](Communicator& comm) {
+  pmpi::run(ranks(), [](Communicator& comm) {
     for (int root = 0; root < comm.size(); ++root) {
       std::vector<double> data;
       if (comm.rank() == root) data = {1.0, 2.0, 3.0, 4.0};
@@ -234,7 +226,7 @@ TEST_P(CollectiveSweep, BcastVector) {
 }
 
 TEST_P(CollectiveSweep, BcastMatrix) {
-  pmpi::run_on(make_ctx(), [](Communicator& comm) {
+  pmpi::run(ranks(), [](Communicator& comm) {
     const Matrix ref = testing::random_matrix(7, 3, 21);
     Matrix m;
     if (comm.is_root()) m = ref;
@@ -244,7 +236,7 @@ TEST_P(CollectiveSweep, BcastMatrix) {
 }
 
 TEST_P(CollectiveSweep, GatherMatrices) {
-  pmpi::run_on(make_ctx(), [](Communicator& comm) {
+  pmpi::run(ranks(), [](Communicator& comm) {
     const Matrix mine = testing::random_matrix(3 + comm.rank(), 2,
                                                100 + comm.rank());
     const std::vector<Matrix> all = comm.gather_matrices(mine, 0);
@@ -261,7 +253,7 @@ TEST_P(CollectiveSweep, GatherMatrices) {
 }
 
 TEST_P(CollectiveSweep, GathervVariableLengths) {
-  pmpi::run_on(make_ctx(), [](Communicator& comm) {
+  pmpi::run(ranks(), [](Communicator& comm) {
     // Rank r contributes r+1 values, all equal to r.
     std::vector<double> mine(static_cast<std::size_t>(comm.rank() + 1),
                              static_cast<double>(comm.rank()));
@@ -285,7 +277,7 @@ TEST_P(CollectiveSweep, GathervVariableLengths) {
 }
 
 TEST_P(CollectiveSweep, GathervEmptyContribution) {
-  pmpi::run_on(make_ctx(), [](Communicator& comm) {
+  pmpi::run(ranks(), [](Communicator& comm) {
     // Odd ranks contribute nothing — exercises the zero-length frames.
     std::vector<double> mine;
     if (comm.rank() % 2 == 0) mine.assign(2, static_cast<double>(comm.rank()));
@@ -300,7 +292,7 @@ TEST_P(CollectiveSweep, GathervEmptyContribution) {
 }
 
 TEST_P(CollectiveSweep, ReduceSumExact) {
-  pmpi::run_on(make_ctx(), [](Communicator& comm) {
+  pmpi::run(ranks(), [](Communicator& comm) {
     const int p = comm.size();
     std::vector<double> v{static_cast<double>(comm.rank() + 1), 1.0};
     comm.reduce(std::span<double>(v), Op::Sum, 0);
@@ -312,7 +304,7 @@ TEST_P(CollectiveSweep, ReduceSumExact) {
 }
 
 TEST_P(CollectiveSweep, AllreduceMaxMinSum) {
-  pmpi::run_on(make_ctx(), [](Communicator& comm) {
+  pmpi::run(ranks(), [](Communicator& comm) {
     const int p = comm.size();
     const double r = static_cast<double>(comm.rank());
     std::vector<double> mx{r};
@@ -329,7 +321,7 @@ TEST_P(CollectiveSweep, AllreduceMaxMinSum) {
 }
 
 TEST_P(CollectiveSweep, AllgatherScalars) {
-  pmpi::run_on(make_ctx(), [](Communicator& comm) {
+  pmpi::run(ranks(), [](Communicator& comm) {
     const std::vector<double> all =
         comm.allgather_double(static_cast<double>(comm.rank() * 10));
     ASSERT_EQ(all.size(), static_cast<std::size_t>(comm.size()));
@@ -341,7 +333,7 @@ TEST_P(CollectiveSweep, AllgatherScalars) {
 }
 
 TEST_P(CollectiveSweep, ScatterRows) {
-  pmpi::run_on(make_ctx(), [](Communicator& comm) {
+  pmpi::run(ranks(), [](Communicator& comm) {
     const int p = comm.size();
     std::vector<Index> per_rank;
     Index total = 0;
@@ -365,62 +357,70 @@ TEST_P(CollectiveSweep, ScatterRows) {
   });
 }
 
-TEST_P(CollectiveSweep, TreeAndFlatBitIdentical) {
-  // The same job run under both topologies must produce identical
-  // gather/allreduce results (integer payloads; order-insensitive sums).
-  const auto run_with = [this](CollectiveAlgo algo) {
-    auto ctx = std::make_shared<pmpi::Context>(ranks());
-    ctx->set_collective_algo(algo);
-    std::vector<double> out;
-    pmpi::run_on(ctx, [&out](Communicator& comm) {
-      std::vector<double> mine{static_cast<double>(comm.rank() + 1)};
-      comm.allreduce(std::span<double>(mine), Op::Sum);
-      const std::vector<double> all = comm.gatherv(
-          std::span<const double>(mine), 0);
-      if (comm.is_root()) out = all;
-    });
-    return out;
-  };
-  EXPECT_EQ(run_with(CollectiveAlgo::Flat), run_with(CollectiveAlgo::Tree));
-}
-
 INSTANTIATE_TEST_SUITE_P(
-    RanksAlgos, CollectiveSweep,
-    ::testing::Combine(::testing::Values(3, 5, 6, 7, 12),
-                       ::testing::Values(CollectiveAlgo::Flat,
-                                         CollectiveAlgo::Tree)),
-    [](const ::testing::TestParamInfo<CollectiveSweep::ParamType>& param) {
-      return "p" + std::to_string(std::get<0>(param.param)) +
-             (std::get<1>(param.param) == CollectiveAlgo::Flat ? "Flat"
-                                                               : "Tree");
+    Ranks, CollectiveSweep, ::testing::Values(3, 5, 6, 7, 12),
+    [](const ::testing::TestParamInfo<int>& param) {
+      std::string name = "p";
+      name += std::to_string(param.param);
+      return name;
     });
 
-// Auto policy: small jobs keep the flat topologies, big jobs switch.
-TEST(CollectivePolicy, AutoRespectsTreeMinRanks) {
-  auto ctx = std::make_shared<pmpi::Context>(4);
-  ctx->set_tree_min_ranks(8);
-  EXPECT_EQ(ctx->collective_algo(), CollectiveAlgo::Auto);
-  std::vector<double> out;
-  pmpi::run_on(ctx, [&out](Communicator& comm) {
-    std::vector<double> v{static_cast<double>(comm.rank())};
-    comm.allreduce(std::span<double>(v), Op::Sum);
-    if (comm.is_root()) out = v;
-  });
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_DOUBLE_EQ(out[0], 6.0);
+// ---------------------------------------------------------------------
+// Exact wire traffic at P >= 8, where the retired tree gather and
+// recursive-doubling allreduce used to take over: gather is the flat
+// root loop (no frame headers) and a large allreduce is the tree reduce
+// plus the binomial bcast.
+
+TEST(CollectiveTraffic, GathervIsFlatAtLargeP) {
+  for (const int p : {8, 16}) {
+    auto ctx = pmpi::run_with_stats(p, [](Communicator& comm) {
+      const std::vector<double> mine(static_cast<std::size_t>(comm.rank() + 1),
+                                     1.0);
+      comm.gatherv(std::span<const double>(mine), 0);
+    });
+    std::uint64_t contributed = 0;
+    for (int r = 1; r < p; ++r) {
+      contributed += sizeof(double) * static_cast<std::uint64_t>(r + 1);
+    }
+    EXPECT_EQ(ctx->total_messages(), static_cast<std::uint64_t>(p - 1))
+        << "p=" << p;
+    EXPECT_EQ(ctx->total_bytes(), contributed) << "p=" << p;
+  }
 }
 
-TEST(CollectivePolicy, BadEnvAlgoThrows) {
-  ::setenv("PARSVD_COMM_ALGO", "bogus", 1);
-  EXPECT_THROW(pmpi::Context(2), ConfigError);
-  ::unsetenv("PARSVD_COMM_ALGO");
-}
-
-TEST(CollectivePolicy, EnvAlgoForcesTree) {
-  ::setenv("PARSVD_COMM_ALGO", "tree", 1);
-  pmpi::Context ctx(4);
-  EXPECT_EQ(ctx.collective_algo(), CollectiveAlgo::Tree);
-  ::unsetenv("PARSVD_COMM_ALGO");
+TEST(CollectiveTraffic, LargeAllreduceIsReduceThenBcast) {
+  constexpr std::size_t kDoubles = 4096;  // 32 KiB: the tree-reduce side
+  for (const int p : {8, 16}) {
+    std::vector<int> exact(static_cast<std::size_t>(p), 0);
+    auto ctx = pmpi::run_with_stats(p, [&exact](Communicator& comm) {
+      std::vector<double> v(kDoubles);
+      for (std::size_t i = 0; i < kDoubles; ++i) {
+        v[i] = static_cast<double>((comm.rank() + 1) * (i % 7 + 1));
+      }
+      comm.allreduce(std::span<double>(v), Op::Sum);
+      const int q = comm.size();
+      bool ok = true;
+      for (std::size_t i = 0; i < kDoubles; ++i) {
+        ok = ok && v[i] == static_cast<double>(q * (q + 1) / 2 *
+                                               static_cast<int>(i % 7 + 1));
+      }
+      exact[static_cast<std::size_t>(comm.rank())] = ok ? 1 : 0;
+    });
+    const auto msgs = 2 * static_cast<std::uint64_t>(p - 1);
+    EXPECT_EQ(ctx->total_messages(), msgs) << "p=" << p;
+    EXPECT_EQ(ctx->total_bytes(), msgs * kDoubles * sizeof(double))
+        << "p=" << p;
+    // Every message in the bit-width bucket of 32 KiB, and the sum says
+    // each is exactly 32 KiB.
+    const obs::Histogram& h = ctx->metrics().histogram("comm.payload_bytes");
+    const int bucket =
+        static_cast<int>(std::bit_width(kDoubles * sizeof(double)));
+    EXPECT_EQ(h.bucket(bucket), msgs) << "p=" << p;
+    for (int r = 0; r < p; ++r) {
+      EXPECT_EQ(exact[static_cast<std::size_t>(r)], 1)
+          << "p=" << p << " rank " << r;
+    }
+  }
 }
 
 }  // namespace

@@ -360,19 +360,17 @@ TEST(FaultChaos, KillSweepEndsInSuccessOrTypedErrorNeverHangs) {
               clean, typed, static_cast<unsigned long long>(deaths));
 }
 
-TEST(FaultChaos, TreeCollectivesRecoverableSweepIsExact) {
-  // The composition the async-comm PR must not break: the log(P)
-  // topologies (binomial gather frames, tree bcast, recursive-doubling
-  // allreduce with the non-power-of-two fold-in — p = 6) ride the same
-  // checksum/seq envelope, so 110 seeded recoverable plans must still
-  // produce bit-exact results.
+TEST(FaultChaos, P6CollectivesRecoverableSweepIsExact) {
+  // The shipped collectives at a non-power-of-two rank count (p = 6:
+  // a three-level binomial bcast) ride the same checksum/seq envelope,
+  // so 110 seeded recoverable plans must still produce bit-exact
+  // results.
   constexpr std::uint64_t kSeeds = 110;
   std::uint64_t injected = 0;
   for (std::uint64_t seed = 0; seed < kSeeds; ++seed) {
     FaultPlan plan = FaultPlan::chaos(2000 + seed, 0.06, 0.05, 0.05, 0.04);
     plan.delay_ms = 1;
     auto ctx = make_ctx(6, std::move(plan));
-    ctx->set_collective_algo(pmpi::CollectiveAlgo::Tree);
     pmpi::run_on(ctx, [seed](Communicator& comm) {
       chaos_workload(comm, 2000 + seed);
     });
@@ -381,10 +379,10 @@ TEST(FaultChaos, TreeCollectivesRecoverableSweepIsExact) {
   EXPECT_GT(injected, 200u);
 }
 
-TEST(FaultChaos, TreeCollectivesKillSweepNeverHangs) {
-  // Kills under forced tree topologies: a dead interior tree node takes
-  // its whole subtree's path down, which must surface as a typed error
-  // (or degrade to a clean completion) — never a hang.
+TEST(FaultChaos, P6CollectivesKillSweepNeverHangs) {
+  // Kills at p = 6: a dead interior bcast-tree node takes its whole
+  // subtree's path down, which must surface as a typed error (or degrade
+  // to a clean completion) — never a hang.
   constexpr std::uint64_t kSeeds = 100;
   int clean = 0;
   int typed = 0;
@@ -394,7 +392,6 @@ TEST(FaultChaos, TreeCollectivesKillSweepNeverHangs) {
     plan.delay_ms = 1;
     plan.protect_rank(0);
     auto ctx = make_ctx(6, std::move(plan));
-    ctx->set_collective_algo(pmpi::CollectiveAlgo::Tree);
     try {
       pmpi::run_on(ctx, [seed](Communicator& comm) {
         chaos_workload(comm, 3000 + seed);
@@ -407,7 +404,7 @@ TEST(FaultChaos, TreeCollectivesKillSweepNeverHangs) {
   EXPECT_EQ(clean + typed, static_cast<int>(kSeeds));
   EXPECT_GT(typed, 0);
   EXPECT_GT(clean, 0);
-  std::printf("tree kill sweep: %d clean, %d typed failures\n", clean, typed);
+  std::printf("p=6 kill sweep: %d clean, %d typed failures\n", clean, typed);
 }
 
 // ---------------------------------------------------- degraded completion

@@ -2,6 +2,7 @@
 // SnapshotStore including hyperslab reads and malformed-file handling.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -62,6 +63,24 @@ TEST_F(IoTest, ReadTruncatedThrows) {
   io::write_matrix(path("t.bin"), m);
   std::filesystem::resize_file(path("t.bin"), 64);
   EXPECT_THROW(io::read_matrix(path("t.bin")), IoError);
+}
+
+TEST_F(IoTest, ReadOverflowingExtentThrowsDimensionError) {
+  // A well-formed header whose rows*cols (2^32 * 2^32) wraps to 0 must be
+  // rejected before allocation, not yield a Matrix that misreports its
+  // size.
+  struct {
+    std::uint64_t magic = 0x5053564d41545258ULL;  // "PSVMATRX"
+    std::uint32_t version = 1;
+    std::uint32_t reserved = 0;
+    std::int64_t rows = std::int64_t{1} << 32;
+    std::int64_t cols = std::int64_t{1} << 32;
+  } header;
+  static_assert(sizeof(header) == 32);
+  std::ofstream out(path("huge.bin"), std::ios::binary);
+  out.write(reinterpret_cast<const char*>(&header), sizeof(header));
+  out.close();
+  EXPECT_THROW(io::read_matrix(path("huge.bin")), DimensionError);
 }
 
 TEST_F(IoTest, VectorFileRejectsMatrix) {

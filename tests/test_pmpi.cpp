@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
+#include <cstring>
 #include <numeric>
+#include <vector>
 
 #include "pmpi/comm.hpp"
 #include "test_utils.hpp"
@@ -106,6 +109,16 @@ TEST(Pmpi, EmptyMatrixTravels) {
       EXPECT_TRUE(got.empty());
     }
   });
+}
+
+TEST(Pmpi, UnpackOverflowingExtentThrowsDimensionError) {
+  // A 16-byte wire header of 2^32 x 2^32: the product wraps to 0, which
+  // would otherwise pass the body-size check with an empty body.
+  const std::int64_t header[2] = {std::int64_t{1} << 32,
+                                  std::int64_t{1} << 32};
+  std::vector<std::byte> payload(sizeof(header));
+  std::memcpy(payload.data(), header, sizeof(header));
+  EXPECT_THROW(pmpi::unpack_matrix(payload), DimensionError);
 }
 
 TEST(Pmpi, BarrierSynchronizes) {

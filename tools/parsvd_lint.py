@@ -16,8 +16,11 @@ Rules
                  silently serializes the overlap again. Scope: src/.
 
   env-registry   A PARSVD_* environment variable read through
-                 support/env (or std::getenv) that is missing from the
-                 README.md registry table. Undocumented knobs rot.
+                 support/env (or std::getenv / env_flag) that is missing
+                 from the README.md registry table, and — in whole-repo
+                 mode — a README table row `| `PARSVD_X` |` whose
+                 variable nothing reads. Undocumented knobs rot, and so
+                 do documented knobs that were deleted.
                  Scope: src/, bench/, examples/ against README.md.
 
   raw-rng        A raw random source (std::mt19937, std::random_device,
@@ -221,17 +224,25 @@ def rule_pipelined(path: pathlib.Path, text: str, findings: list) -> None:
 # ------------------------------------------------------- rule: env-registry
 
 ENV_READ = re.compile(
-    r'(?:env::get_\w+|std::getenv|\bgetenv)\s*\(\s*"(PARSVD_[A-Z0-9_]+)"')
+    r'(?:env::get_\w+|std::getenv|\bgetenv|\benv_flag)\s*\(\s*'
+    r'"(PARSVD_[A-Z0-9_]+)"')
 ENV_TOKEN = re.compile(r"PARSVD_[A-Z0-9_]+")
+# First cell of a Markdown table row; its backticked PARSVD_* names are
+# the variables the row documents.
+README_ROW_KEY = re.compile(r"^\|([^|]*)\|")
+ROW_VAR = re.compile(r"`(PARSVD_[A-Z0-9_]+)`")
 
 
-def rule_env_registry(paths, readme: pathlib.Path, findings: list) -> None:
-    documented = set(ENV_TOKEN.findall(
-        readme.read_text(encoding="utf-8"))) if readme.exists() else set()
+def rule_env_registry(paths, readme: pathlib.Path, findings: list,
+                      stale_rows: bool = False) -> None:
+    readme_text = readme.read_text(encoding="utf-8") if readme.exists() else ""
+    documented = set(ENV_TOKEN.findall(readme_text))
+    read = set()
     for path in paths:
         text = path.read_text(encoding="utf-8", errors="replace")
         for m in ENV_READ.finditer(text):
             var = m.group(1)
+            read.add(var)
             if var in documented:
                 continue
             line = text.count("\n", 0, m.start()) + 1
@@ -239,6 +250,18 @@ def rule_env_registry(paths, readme: pathlib.Path, findings: list) -> None:
                 (path, line, "env-registry",
                  f"{var} is read here but missing from the README.md "
                  "environment-variable registry"))
+    if not stale_rows:
+        return
+    for lineno, line in enumerate(readme_text.splitlines(), start=1):
+        key = README_ROW_KEY.match(line)
+        if not key:
+            continue
+        for var in ROW_VAR.findall(key.group(1)):
+            if var not in read:
+                findings.append(
+                    (readme, lineno, "env-registry",
+                     f"README.md documents {var}, but no file under src/, "
+                     "bench/ or examples/ reads it; delete the stale row"))
 
 
 # ------------------------------------------------------------ rule: raw-rng
@@ -522,7 +545,8 @@ def main(argv) -> int:
             rule_wall_clock(
                 path, path.read_text(encoding="utf-8", errors="replace"),
                 findings)
-        rule_env_registry(src + bench + examples, readme, findings)
+        rule_env_registry(src + bench + examples, readme, findings,
+                          stale_rows=True)
 
     for path, line, rule, message in findings:
         print(f"{path}:{line}: [{rule}] {message}")
