@@ -1,5 +1,9 @@
 #include "core/options.hpp"
 
+#include <cmath>
+#include <limits>
+#include <string>
+
 #include "support/error.hpp"
 
 namespace parsvd {
@@ -18,22 +22,46 @@ std::vector<double> FaultReport::to_doubles() const {
   return flat;
 }
 
+namespace {
+
+// One field of the flat encoding checked before any cast: the payload
+// crossed the wire, and casting a NaN, negative or huge double to an
+// integer type is undefined behaviour.
+double checked_field(double v, double lo, double hi, bool integral,
+                     const char* what) {
+  if (!(std::isfinite(v) && v >= lo && v <= hi) ||
+      (integral && v != std::floor(v))) {
+    throw CommError(std::string("FaultReport: bad ") + what + " field " +
+                    std::to_string(v));
+  }
+  return v;
+}
+
+}  // namespace
+
 FaultReport FaultReport::from_doubles(const std::vector<double>& flat) {
-  PARSVD_REQUIRE(flat.size() >= 7, "FaultReport: truncated encoding");
+  if (flat.size() < 7) throw CommError("FaultReport: truncated encoding");
+  // Largest row count a double carries exactly.
+  constexpr double kMaxRows = 9007199254740992.0;  // 2^53
   FaultReport out;
   std::size_t i = 0;
-  out.degraded = flat[i++] != 0.0;
-  const auto ndead = static_cast<std::size_t>(flat[i++]);
-  PARSVD_REQUIRE(flat.size() == 7 + ndead, "FaultReport: length mismatch");
+  out.degraded = checked_field(flat[i++], 0, 1, true, "degraded") != 0.0;
+  const auto ndead = static_cast<std::size_t>(checked_field(
+      flat[i++], 0, static_cast<double>(flat.size() - 7), true, "ndead"));
+  if (flat.size() != 7 + ndead) throw CommError("FaultReport: length mismatch");
   out.dead_ranks.reserve(ndead);
   for (std::size_t k = 0; k < ndead; ++k) {
-    out.dead_ranks.push_back(static_cast<int>(flat[i++]));
+    out.dead_ranks.push_back(static_cast<int>(checked_field(
+        flat[i++], 0, std::numeric_limits<int>::max(), true, "dead rank")));
   }
-  out.surviving_rows = static_cast<Index>(flat[i++]);
-  out.lost_rows = static_cast<Index>(flat[i++]);
-  out.extent_known = flat[i++] != 0.0;
-  out.coverage = flat[i++];
-  out.accuracy_bound = flat[i++];
+  out.surviving_rows = static_cast<Index>(
+      checked_field(flat[i++], 0, kMaxRows, true, "surviving_rows"));
+  out.lost_rows = static_cast<Index>(
+      checked_field(flat[i++], 0, kMaxRows, true, "lost_rows"));
+  out.extent_known =
+      checked_field(flat[i++], 0, 1, true, "extent_known") != 0.0;
+  out.coverage = checked_field(flat[i++], 0, 1, false, "coverage");
+  out.accuracy_bound = checked_field(flat[i++], 0, 1, false, "accuracy_bound");
   return out;
 }
 

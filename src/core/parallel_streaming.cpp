@@ -109,14 +109,12 @@ void ParallelStreamingSVD::incorporate_data(const Matrix& batch) {
   ++iteration_;
   snapshots_seen_ += batch.cols();
 
-  const Matrix weighted = apply_row_weights(batch);
-
   // Fault-tolerant mode: fold this batch's energy into root's per-rank
   // ledger before the factorization touches the network, so a rank that
   // dies later in this update counts its in-flight batch as lost (the
   // conservative direction for the coverage bound).
   if (opts_.fault_tolerant) {
-    const double frob = weighted.norm_fro();
+    const double frob = apply_row_weights(batch).norm_fro();
     const double energy = frob * frob;
     std::array<std::byte, sizeof(double)> buf;
     std::memcpy(buf.data(), &energy, sizeof(double));
@@ -134,12 +132,8 @@ void ParallelStreamingSVD::incorporate_data(const Matrix& batch) {
 
   // Step 1 (distributed): concatenate the discounted local factorization
   // with the new local snapshots, then TSQR across ranks.
-  Matrix ll = u_local_;
-  for (Index j = 0; j < ll.cols(); ++j) {
-    scal(opts_.forget_factor * singular_values_[j], ll.col_span(j));
-  }
-  ll = hcat(ll, weighted);
-  TsqrResult qr = tsqr(comm_, ll, tsqr_variant_, opts_.fault_tolerant);
+  TsqrResult qr = tsqr(comm_, discounted_concat(u_local_, batch),
+                       tsqr_variant_, opts_.fault_tolerant);
 
   // Step 2 (small, at root): SVD of the global R, truncated to K.
   // PyParSVD's listing only truncates on the low-rank path, which lets
@@ -150,7 +144,7 @@ void ParallelStreamingSVD::incorporate_data(const Matrix& batch) {
   root_svd_and_broadcast(qr.r, u_small, s);
 
   // Steps 4-5: rotate the local Q slice onto the leading modes.
-  u_local_ = matmul(qr.q_local, u_small);
+  u_local_ = qr.q_times(u_small);
   singular_values_ = std::move(s);
   gather_modes();
   if (opts_.fault_tolerant) update_fault_report();

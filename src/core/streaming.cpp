@@ -39,6 +39,34 @@ Matrix SvdBase::remove_row_weights(const Matrix& modes) const {
   return physical;
 }
 
+Matrix SvdBase::discounted_concat(const Matrix& modes,
+                                  const Matrix& batch) const {
+  PARSVD_REQUIRE(opts_.row_weights.empty() ||
+                     opts_.row_weights.size() == batch.rows(),
+                 "row_weights length must match the batch row count");
+  const Index m = batch.rows();
+  const Index k = modes.cols();
+  Matrix out(m, k + batch.cols());
+  for (Index j = 0; j < k; ++j) {
+    const double scale = opts_.forget_factor * singular_values_[j];
+    const double* src = modes.col_data(j);
+    double* dst = out.col_data(j);
+    for (Index i = 0; i < m; ++i) dst[i] = scale * src[i];
+  }
+  for (Index j = 0; j < batch.cols(); ++j) {
+    const double* src = batch.col_data(j);
+    double* dst = out.col_data(k + j);
+    if (opts_.row_weights.empty()) {
+      std::copy_n(src, m, dst);
+    } else {
+      for (Index i = 0; i < m; ++i) {
+        dst[i] = src[i] * std::sqrt(opts_.row_weights[i]);
+      }
+    }
+  }
+  return out;
+}
+
 Matrix SvdBase::physical_modes() { return remove_row_weights(modes_); }
 
 Matrix SvdBase::project(const Matrix& batch) {
@@ -76,10 +104,10 @@ void SerialStreamingSVD::initialize(const Matrix& batch) {
 
   // I1-I2 of Algorithm 1: QR of the first batch, SVD of the small R,
   // lift U through Q. Weighted problems run on the √w-scaled data.
-  QrResult qr = qr_thin(apply_row_weights(batch));
+  const FactoredQr qr(apply_row_weights(batch));
   const Index keep = std::min(opts_.num_modes, std::min(batch.rows(), batch.cols()));
-  SvdResult f = inner_svd(qr.r, keep);
-  modes_ = matmul(qr.q, f.u.left_cols(keep));
+  SvdResult f = inner_svd(qr.r(), keep);
+  modes_ = qr.q_times(f.u.left_cols(keep));
   singular_values_ = f.s.head(keep);
   snapshots_seen_ = batch.cols();
   initialized_ = true;
@@ -94,20 +122,15 @@ void SerialStreamingSVD::incorporate_data(const Matrix& batch) {
   snapshots_seen_ += batch.cols();
 
   // Step 1: concatenate the discounted running factorization with the
-  // new snapshots and re-factor: [ff·U Σ | A_i] = U' D'.
-  Matrix m_ap = modes_;
-  for (Index j = 0; j < m_ap.cols(); ++j) {
-    scal(opts_.forget_factor * singular_values_[j], m_ap.col_span(j));
-  }
-  const Matrix concat = hcat(m_ap, apply_row_weights(batch));
-  QrResult qr = qr_thin(concat);
+  // new snapshots and re-factor in place: [ff·U Σ | A_i] = U' D'.
+  const FactoredQr qr(discounted_concat(modes_, batch));
 
   // Steps 2-5: SVD of the small D', keep the leading K triplets, rotate
-  // the Q basis onto them.
+  // Q onto them without forming it: modes = Q·U'_K.
   const Index keep =
-      std::min(opts_.num_modes, std::min(qr.r.rows(), qr.r.cols()));
-  SvdResult f = inner_svd(qr.r, keep);
-  modes_ = matmul(qr.q, f.u.left_cols(keep));
+      std::min(opts_.num_modes, std::min(qr.r().rows(), qr.r().cols()));
+  SvdResult f = inner_svd(qr.r(), keep);
+  modes_ = qr.q_times(f.u.left_cols(keep));
   singular_values_ = f.s.head(keep);
 }
 

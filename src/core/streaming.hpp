@@ -88,6 +88,11 @@ class SvdBase {
   /// row_weights (identity when unweighted).
   Matrix remove_row_weights(const Matrix& modes) const;
 
+  /// The update's input [ff·U Σ | √w ∘ A_i], built in one allocation:
+  /// `modes` (this rank's U, K columns) scaled by ff·σ_j next to the
+  /// weighted batch.
+  Matrix discounted_concat(const Matrix& modes, const Matrix& batch) const;
+
   StreamingOptions opts_;
   Matrix modes_;             // M x K (serial) or gathered global (parallel root)
   Vector singular_values_;   // K

@@ -20,21 +20,28 @@ namespace {
 using pmpi::tags::tsqr_down;
 using pmpi::tags::tsqr_up;
 
-TsqrResult tsqr_direct(pmpi::Communicator& comm, const Matrix& a_local) {
+FactoredQr factor_local(Matrix a_local) {
+  PARSVD_TRACE_SCOPE("tsqr.factor_panel");
+  return FactoredQr(std::move(a_local));
+}
+
+// p == 1: the local factor is the whole factorization.
+TsqrResult single_rank(FactoredQr local) {
+  Matrix t = Matrix::identity(local.rank_bound());
+  Matrix r = local.r();
+  return {std::move(local), std::move(t), std::move(r), {}};
+}
+
+TsqrResult tsqr_direct(pmpi::Communicator& comm, Matrix a_local) {
   PARSVD_TRACE_SCOPE("tsqr.direct");
   const int p = comm.size();
 
   // Stage 1: local thin QR with the deterministic sign convention.
-  QrResult local = [&] {
-    PARSVD_TRACE_SCOPE("tsqr.factor_panel");
-    return qr_thin(a_local);
-  }();
-  if (p == 1) {
-    return {std::move(local.q), std::move(local.r), {}};
-  }
+  FactoredQr local = factor_local(std::move(a_local));
+  if (p == 1) return single_rank(std::move(local));
 
   // Stage 2: gather R factors at root and factor the stack.
-  std::vector<Matrix> r_blocks = comm.gather_matrices(local.r, 0);
+  std::vector<Matrix> r_blocks = comm.gather_matrices(local.r(), 0);
 
   Matrix r_final;
   if (comm.is_root()) {
@@ -56,30 +63,25 @@ TsqrResult tsqr_direct(pmpi::Communicator& comm, const Matrix& a_local) {
       }
     }
     comm.bcast_matrix(r_final, 0);
-    return {matmul(local.q, my_slice), std::move(r_final), {}};
+    return {std::move(local), std::move(my_slice), std::move(r_final), {}};
   }
 
   Matrix my_slice = comm.recv_matrix(0, tsqr_down(0));
   comm.bcast_matrix(r_final, 0);
-  return {matmul(local.q, my_slice), std::move(r_final), {}};
+  return {std::move(local), std::move(my_slice), std::move(r_final), {}};
 }
 
 // Fault-tolerant direct TSQR: dead ranks' R factors are excluded from
 // the stack and the factorization completes on the survivors' rows.
-TsqrResult tsqr_direct_ft(pmpi::Communicator& comm, const Matrix& a_local) {
+TsqrResult tsqr_direct_ft(pmpi::Communicator& comm, Matrix a_local) {
   PARSVD_TRACE_SCOPE("tsqr.direct_ft");
   const int p = comm.size();
 
-  QrResult local = [&] {
-    PARSVD_TRACE_SCOPE("tsqr.factor_panel");
-    return qr_thin(a_local);
-  }();
-  if (p == 1) {
-    return {std::move(local.q), std::move(local.r), {}};
-  }
+  FactoredQr local = factor_local(std::move(a_local));
+  if (p == 1) return single_rank(std::move(local));
 
   std::vector<std::optional<Matrix>> r_blocks =
-      comm.gather_matrices_ft(local.r, 0);
+      comm.gather_matrices_ft(local.r(), 0);
 
   Matrix r_final;
   std::vector<double> excluded;  // rides bcast_doubles_ft as doubles
@@ -123,21 +125,18 @@ TsqrResult tsqr_direct_ft(pmpi::Communicator& comm, const Matrix& a_local) {
   comm.bcast_matrix_ft(r_final, 0);
   comm.bcast_doubles_ft(excluded, 0);
 
-  TsqrResult out{matmul(local.q, my_slice), std::move(r_final), {}};
+  TsqrResult out{std::move(local), std::move(my_slice), std::move(r_final), {}};
   out.excluded_ranks.reserve(excluded.size());
   for (double r : excluded) out.excluded_ranks.push_back(static_cast<int>(r));
   return out;
 }
 
-TsqrResult tsqr_tree(pmpi::Communicator& comm, const Matrix& a_local) {
+TsqrResult tsqr_tree(pmpi::Communicator& comm, Matrix a_local) {
   PARSVD_TRACE_SCOPE("tsqr.tree");
   const int p = comm.size();
   const int rank = comm.rank();
 
-  if (p == 1) {
-    QrResult local = qr_thin(a_local);
-    return {std::move(local.q), std::move(local.r), {}};
-  }
+  if (p == 1) return single_rank(FactoredQr(std::move(a_local)));
 
   // A rank's whole exchange schedule is a pure function of (rank, p) —
   // topology::tsqr_plan, shared with the static verifier: it is
@@ -146,10 +145,10 @@ TsqrResult tsqr_tree(pmpi::Communicator& comm, const Matrix& a_local) {
   // lowest set bit. That makes every receive postable BEFORE the local
   // panel factorization, so partners' R factors (and eventually the
   // parent's down-sweep transform) arrive while this rank is busy in
-  // qr_thin — the up-sweep pipelining this variant exists for.
+  // its local QR — the up-sweep pipelining this variant exists for.
   const pmpi::topology::TsqrPlan plan = pmpi::topology::tsqr_plan(rank, p);
 
-  // parsvd-pipelined begin (pre-posted schedule overlaps qr_thin; a
+  // parsvd-pipelined begin (pre-posted schedule overlaps the local QR; a
   // blocking receive here would serialize the up-sweep again)
   std::vector<pmpi::Request> up_reqs;
   up_reqs.reserve(plan.recvs.size());
@@ -164,10 +163,7 @@ TsqrResult tsqr_tree(pmpi::Communicator& comm, const Matrix& a_local) {
     t_req = comm.irecv(plan.parent, tsqr_down(plan.sent_level));
   }
 
-  QrResult local = [&] {
-    PARSVD_TRACE_SCOPE("tsqr.factor_panel");
-    return qr_thin(a_local);
-  }();
+  FactoredQr local = factor_local(std::move(a_local));
   // parsvd-pipelined end
 
   // Upward sweep: pairwise R combination, consuming the pre-posted
@@ -181,7 +177,7 @@ TsqrResult tsqr_tree(pmpi::Communicator& comm, const Matrix& a_local) {
   };
   std::vector<LevelRecord> records;
   records.reserve(plan.recvs.size());
-  Matrix r_mine = local.r;
+  Matrix r_mine = local.r();
   {
     PARSVD_TRACE_SCOPE("tsqr.up_sweep");
     for (std::size_t i = 0; i < plan.recvs.size(); ++i) {
@@ -225,12 +221,18 @@ TsqrResult tsqr_tree(pmpi::Communicator& comm, const Matrix& a_local) {
     }
     comm.bcast_matrix(r_final, 0);
   }
-  return {matmul(local.q, t), std::move(r_final), {}};
+  return {std::move(local), std::move(t), std::move(r_final), {}};
 }
 
 }  // namespace
 
-TsqrResult tsqr(pmpi::Communicator& comm, const Matrix& a_local,
+Matrix TsqrResult::q_times(const Matrix& s) const {
+  return local.q_times(matmul(transform, s));
+}
+
+Matrix TsqrResult::q_local() const { return local.q_times(transform); }
+
+TsqrResult tsqr(pmpi::Communicator& comm, Matrix a_local,
                 TsqrVariant variant, bool fault_tolerant) {
   PARSVD_REQUIRE(!a_local.empty(), "tsqr of an empty local block");
   if (fault_tolerant) {
@@ -238,13 +240,13 @@ TsqrResult tsqr(pmpi::Communicator& comm, const Matrix& a_local,
       log::debug("tsqr: Tree variant has no exclusion path; using Direct "
                  "for the fault-tolerant call");
     }
-    return tsqr_direct_ft(comm, a_local);
+    return tsqr_direct_ft(comm, std::move(a_local));
   }
   switch (variant) {
     case TsqrVariant::Direct:
-      return tsqr_direct(comm, a_local);
+      return tsqr_direct(comm, std::move(a_local));
     case TsqrVariant::Tree:
-      return tsqr_tree(comm, a_local);
+      return tsqr_tree(comm, std::move(a_local));
   }
   throw ConfigError("unknown TSQR variant");
 }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "linalg/autotune.hpp"
 #include "linalg/blas.hpp"
@@ -10,6 +11,46 @@
 
 namespace parsvd {
 namespace {
+
+// Fixed count of independent partial sums for the reflector reductions.
+// One running sum is a serial dependency chain that -O3 may not
+// reassociate; kLanes separate accumulators let it map the loop onto
+// vector registers under -march=native.
+constexpr Index kLanes = 8;
+
+double dot_lanes(const double* x, const double* y, Index n) {
+  double acc[kLanes] = {};
+  Index i = 0;
+  for (; i + kLanes <= n; i += kLanes) {
+    for (Index l = 0; l < kLanes; ++l) acc[l] += x[i + l] * y[i + l];
+  }
+  double s = 0.0;
+  for (; i < n; ++i) s += x[i] * y[i];
+  for (Index l = 0; l < kLanes; ++l) s += acc[l];
+  return s;
+}
+
+// ‖x‖₂ from one vectorized sum of squares when that sum can neither have
+// overflowed nor be dominated by underflowed terms; the scaled nrm2
+// (two divisions per entry) otherwise.
+double norm_lanes(std::span<const double> x) {
+  using limits = std::numeric_limits<double>;
+  constexpr double kSafeMin = limits::min() / limits::epsilon();
+  const auto n = static_cast<Index>(x.size());
+  const double ssq = dot_lanes(x.data(), x.data(), n);
+  if (ssq >= kSafeMin && ssq <= limits::max()) {
+    return std::sqrt(ssq);
+  }
+  return nrm2(x);
+}
+
+// c := (I − tau v vᵀ) c for v = (1; tail) and c = (c[0]; c[1..len]).
+void reflect(double tau, const double* tail, double* c, Index len) {
+  const double w = tau * (c[0] + dot_lanes(tail, c + 1, len));
+  c[0] -= w;
+  double* c1 = c + 1;
+  for (Index i = 0; i < len; ++i) c1[i] -= w * tail[i];
+}
 
 // Generate a Householder reflector for x = (alpha; tail) such that
 // (I - tau v vᵀ) x = (beta; 0), with v = (1; tail/ (alpha - beta)).
@@ -20,7 +61,7 @@ struct Reflector {
 };
 
 Reflector make_reflector(double alpha, std::span<double> tail) {
-  const double xnorm = nrm2(tail);
+  const double xnorm = norm_lanes(tail);
   if (xnorm == 0.0) {
     // Nothing below the diagonal: identity reflector.
     return {0.0, alpha};
@@ -39,29 +80,42 @@ Index default_qr_block() {
   return autotune::active_profile().qr_block;
 }
 
-// In-place C(mrow x nc, leading dim ldc) := (I - V op(T) Vᵀ) C — the
-// compact-WY block reflector, i.e. Qᵀ C for op(T) = Tᵀ (transpose=true)
-// and Q C for op(T) = T.  Both rank-jb products run through the packed
-// GEMM engine; the small jb x jb triangular product stays serial.
-void apply_wy(const Matrix& v, const Matrix& t, bool transpose, double* c,
-              Index ldc, Index nc) {
-  const Index mrow = v.rows();
-  const Index jb = v.cols();
+// Compact-WY block reflector I − V op(T) Vᵀ of the reflectors
+// [j0, j0+jb), read in place from the factored matrix `qr`: V = [V1; V2]
+// with V1 the jb x jb unit lower triangle on rows [j0, j0+jb) (unit
+// diagonal implicit, R above it) and V2 the (m−j0−jb) x jb block below.
+// `c` points at row j0 of an nc-column operand with leading dim ldc; its
+// rows [j0, m) become (I − V op(T) Vᵀ) C, i.e. Qᵀ C for transpose=true
+// and Q C otherwise. Only the first `c2_rows` rows of C2 (the part facing
+// V2) may be nonzero on entry. The two tall products run on one thread:
+// the pool's column split would repack the whole tall operand per chunk.
+void apply_wy(const Matrix& qr, Index j0, Index jb, const double* t, Index ldt,
+              bool transpose, double* c, Index ldc, Index nc, Index c2_rows) {
   if (nc == 0) return;
+  const Index ld = qr.rows();
+  const Index m2 = ld - j0 - jb;
+  const double* v1 = qr.col_data(j0) + j0;
+  const double* v2 = v1 + jb;
+  double* c2 = c + jb;
 
-  // W = Vᵀ C  (jb x nc)
+  // W = V1ᵀ C1 + V2ᵀ C2  (jb x nc)
   Matrix w(jb, nc);
-  detail::gemm_accumulate(Trans::Yes, Trans::No, jb, nc, mrow, 1.0, v.data(),
-                          mrow, c, ldc, w.data(), jb);
+  for (Index col = 0; col < nc; ++col) {
+    const double* c1 = c + col * ldc;
+    double* wc = w.col_data(col);
+    for (Index i = 0; i < jb; ++i) {
+      wc[i] = c1[i] + dot_lanes(v1 + i * ld + i + 1, c1 + i + 1, jb - i - 1);
+    }
+  }
+  detail::gemm_accumulate(Trans::Yes, Trans::No, jb, nc, c2_rows, 1.0, v2, ld,
+                          c2, ldc, w.data(), jb, /*allow_parallel=*/false);
   // W := op(T) W — T is jb x jb upper triangular.
   if (transpose) {
     // (Tᵀ W)_i = Σ_{l<=i} T(l,i) W_l; descending i keeps inputs intact.
     for (Index col = 0; col < nc; ++col) {
       double* wc = w.col_data(col);
       for (Index i = jb - 1; i >= 0; --i) {
-        double s = 0.0;
-        for (Index l = 0; l <= i; ++l) s += t(l, i) * wc[l];
-        wc[i] = s;
+        wc[i] = dot_lanes(t + i * ldt, wc, i + 1);
       }
     }
   } else {
@@ -70,35 +124,48 @@ void apply_wy(const Matrix& v, const Matrix& t, bool transpose, double* c,
       double* wc = w.col_data(col);
       for (Index i = 0; i < jb; ++i) {
         double s = 0.0;
-        for (Index l = i; l < jb; ++l) s += t(i, l) * wc[l];
+        for (Index l = i; l < jb; ++l) s += t[i + l * ldt] * wc[l];
         wc[i] = s;
       }
     }
   }
-  // C -= V W
-  detail::gemm_accumulate(Trans::No, Trans::No, mrow, nc, jb, -1.0, v.data(),
-                          mrow, w.data(), jb, c, ldc);
+  // C2 -= V2 W, C1 -= V1 W
+  detail::gemm_accumulate(Trans::No, Trans::No, m2, nc, jb, -1.0, v2, ld,
+                          w.data(), jb, c2, ldc, /*allow_parallel=*/false);
+  for (Index col = 0; col < nc; ++col) {
+    double* c1 = c + col * ldc;
+    const double* wc = w.col_data(col);
+    for (Index i = 0; i < jb; ++i) {
+      c1[i] -= wc[i];
+      const double* vi = v1 + i * ld;
+      for (Index r = i + 1; r < jb; ++r) c1[r] -= vi[r] * wc[i];
+    }
+  }
+}
+
+obs::Counter& qr_flops() {
+  static obs::Counter& flops =
+      obs::Registry::global().counter("linalg.qr.flops");
+  return flops;
 }
 
 }  // namespace
 
-HouseholderQr::HouseholderQr(const Matrix& a) : HouseholderQr(a, 0) {}
-
-HouseholderQr::HouseholderQr(const Matrix& a, Index block) : qr_(a) {
+HouseholderQr::HouseholderQr(Matrix a, Index block) : qr_(std::move(a)) {
   const Index m = qr_.rows();
   const Index n = qr_.cols();
   PARSVD_REQUIRE(m > 0 && n > 0, "QR of an empty matrix");
   PARSVD_TRACE_SCOPE("linalg.qr.factor");
   static obs::Counter& calls = obs::Registry::global().counter("linalg.qr.calls");
-  static obs::Counter& flops = obs::Registry::global().counter("linalg.qr.flops");
   calls.add(1);
   const Index k = std::min(m, n);
   // Householder QR cost model: 2mnk - 2k^3/3 (k = min(m, n)); since
   // k <= m and k <= n the subtraction can't wrap the unsigned counter.
-  flops.add(2ull * static_cast<std::uint64_t>(m) * static_cast<std::uint64_t>(n) *
-                static_cast<std::uint64_t>(k) -
-            2ull * static_cast<std::uint64_t>(k) * static_cast<std::uint64_t>(k) *
-                static_cast<std::uint64_t>(k) / 3);
+  qr_flops().add(
+      2ull * static_cast<std::uint64_t>(m) * static_cast<std::uint64_t>(n) *
+          static_cast<std::uint64_t>(k) -
+      2ull * static_cast<std::uint64_t>(k) * static_cast<std::uint64_t>(k) *
+          static_cast<std::uint64_t>(k) / 3);
   tau_.assign(static_cast<std::size_t>(k), 0.0);
   block_ = (block > 0) ? block : default_qr_block();
   if (block_ <= 1) {
@@ -113,18 +180,19 @@ void HouseholderQr::factor_unblocked() {
 }
 
 void HouseholderQr::factor_blocked() {
+  const Index m = qr_.rows();
   const Index n = qr_.cols();
   const Index k = rank_bound();
+  t_ = Matrix(std::min(block_, k), k);
   for (Index j0 = 0; j0 < k; j0 += block_) {
     const Index jb = std::min(block_, k - j0);
     factor_panel(j0, jb, j0 + jb);
+    build_t(j0, jb);
     const Index next = j0 + jb;
     if (next < n) {
       // Level-3 trailing update: A(j0:m, next:n) := Q_panelᵀ A(j0:m, next:n).
-      const Matrix v = panel_v(j0, jb);
-      const Matrix t = build_t(j0, jb);
-      apply_wy(v, t, /*transpose=*/true, qr_.col_data(next) + j0, qr_.rows(),
-               n - next);
+      apply_wy(qr_, j0, jb, t_.col_data(j0), t_.rows(), /*transpose=*/true,
+               qr_.col_data(next) + j0, m, n - next, m - next);
     }
   }
 }
@@ -134,62 +202,72 @@ void HouseholderQr::factor_panel(Index j0, Index jb, Index update_to) {
   for (Index jj = 0; jj < jb; ++jj) {
     const Index j = j0 + jj;
     double* colj = qr_.col_data(j);
-    std::span<double> tail(colj + j + 1, static_cast<std::size_t>(m - j - 1));
-    const Reflector h = make_reflector(colj[j], tail);
+    const Index len = m - j - 1;
+    const Reflector h =
+        make_reflector(colj[j], {colj + j + 1, static_cast<std::size_t>(len)});
     tau_[static_cast<std::size_t>(j)] = h.tau;
     colj[j] = h.beta;
     if (h.tau == 0.0) continue;
-
-    // Apply (I - tau v vᵀ) to the remaining panel columns.
-    // v = (1, qr_(j+1..m-1, j)).
+    // Apply (I - tau v vᵀ), v = (1, qr_(j+1..m-1, j)), to the remaining
+    // panel columns.
     for (Index c = j + 1; c < update_to; ++c) {
-      double* colc = qr_.col_data(c);
-      double w = colc[j];
-      for (Index i = j + 1; i < m; ++i) w += colj[i] * colc[i];
-      w *= h.tau;
-      colc[j] -= w;
-      for (Index i = j + 1; i < m; ++i) colc[i] -= w * colj[i];
+      reflect(h.tau, colj + j + 1, qr_.col_data(c) + j, len);
     }
   }
 }
 
-Matrix HouseholderQr::panel_v(Index j0, Index jb) const {
+void HouseholderQr::build_t(Index j0, Index jb) {
+  // Walker's identity: for H_0 ... H_{jb-1} = I − V T Vᵀ,
+  //   T⁻¹ = striu(VᵀV) + diag(1/τ),
+  // so T costs one VᵀV product through the packed engine plus a jb x jb
+  // triangular inverse, instead of LAPACK larft's jb column recurrences.
+  // An identity reflector (τ = 0) drops out of the product: its row and
+  // column of T stay zero.
   const Index m = qr_.rows();
-  Matrix v(m - j0, jb);
-  for (Index jj = 0; jj < jb; ++jj) {
-    v(jj, jj) = 1.0;
-    const double* col = qr_.col_data(j0 + jj);
-    for (Index r = jj + 1; r < m - j0; ++r) v(r, jj) = col[j0 + r];
-  }
-  return v;
-}
-
-Matrix HouseholderQr::build_t(Index j0, Index jb) const {
-  // LAPACK larft, forward columnwise: growing T so that
-  // H_0 ... H_{i} = I - V(:,0:i+1) T(0:i+1,0:i+1) V(:,0:i+1)ᵀ with
-  // T(0:i, i) = -tau_i T(0:i,0:i) (V(:,0:i)ᵀ v_i), T(i,i) = tau_i.
-  const Index m = qr_.rows();
-  Matrix t(jb, jb);
-  std::vector<double> w(static_cast<std::size_t>(jb));
-  for (Index i = 0; i < jb; ++i) {
-    const double taui = tau_[static_cast<std::size_t>(j0 + i)];
-    if (taui == 0.0) continue;  // identity reflector: column stays zero
-    t(i, i) = taui;
-    const Index row0 = j0 + i;  // row of v_i's implicit unit entry
-    const double* vi = qr_.col_data(j0 + i);
-    for (Index l = 0; l < i; ++l) {
-      const double* vl = qr_.col_data(j0 + l);
-      double s = vl[row0];  // v_l against v_i's implicit 1
-      for (Index r = row0 + 1; r < m; ++r) s += vl[r] * vi[r];
-      w[static_cast<std::size_t>(l)] = s;
+  const Index ldt = t_.rows();
+  double* t = t_.col_data(j0);
+  const double* v1 = qr_.col_data(j0) + j0;
+  const double* v2 = v1 + jb;
+  for (Index j = 0; j < jb; ++j) std::fill_n(t + j * ldt, jb, 0.0);
+  detail::gemm_accumulate(Trans::Yes, Trans::No, jb, jb, m - j0 - jb, 1.0, v2,
+                          m, v2, m, t, ldt, /*allow_parallel=*/false);
+  // Add V1ᵀV1's strict upper part (V1 unit lower triangular): for i < l,
+  // v_i · v_l over rows [l, jb) = V1(l,i) + Σ_{r>l} V1(r,i) V1(r,l).
+  for (Index l = 1; l < jb; ++l) {
+    const double* vl = v1 + l * m;
+    for (Index i = 0; i < l; ++i) {
+      const double* vi = v1 + i * m;
+      t[i + l * ldt] += vi[l] + dot_lanes(vi + l + 1, vl + l + 1, jb - l - 1);
     }
-    for (Index l = 0; l < i; ++l) {
+  }
+  // Upper triangle of T⁻¹; identity reflectors get a bare unit diagonal.
+  for (Index j = 0; j < jb; ++j) {
+    const double tau = tau_[static_cast<std::size_t>(j0 + j)];
+    for (Index i = j + 1; i < jb; ++i) t[i + j * ldt] = 0.0;
+    if (tau != 0.0) {
+      t[j + j * ldt] = 1.0 / tau;
+      continue;
+    }
+    t[j + j * ldt] = 1.0;
+    for (Index i = 0; i < j; ++i) t[i + j * ldt] = 0.0;
+    for (Index l = j + 1; l < jb; ++l) t[j + l * ldt] = 0.0;
+  }
+  // In-place upper-triangular inverse, column by column (LAPACK trti2):
+  // T(0:j, j) = −T(j,j) · T(0:j,0:j) T⁻¹(0:j, j) with the leading block
+  // already inverted.
+  for (Index j = 0; j < jb; ++j) {
+    double* tj = t + j * ldt;
+    tj[j] = 1.0 / tj[j];
+    const double ajj = -tj[j];
+    for (Index i = 0; i < j; ++i) {
       double s = 0.0;
-      for (Index p = l; p < i; ++p) s += t(l, p) * w[static_cast<std::size_t>(p)];
-      t(l, i) = -taui * s;
+      for (Index p = i; p < j; ++p) s += t[i + p * ldt] * tj[p];
+      tj[i] = ajj * s;
     }
   }
-  return t;
+  for (Index j = 0; j < jb; ++j) {
+    if (tau_[static_cast<std::size_t>(j0 + j)] == 0.0) t[j + j * ldt] = 0.0;
+  }
 }
 
 Matrix HouseholderQr::r() const {
@@ -205,16 +283,47 @@ Matrix HouseholderQr::r() const {
 }
 
 Matrix HouseholderQr::thin_q() const {
+  return q_times(Matrix::identity(rank_bound()));
+}
+
+Matrix HouseholderQr::q_times(const Matrix& s) const {
   const Index m = qr_.rows();
   const Index k = rank_bound();
-  // Start from the leading k columns of I and apply Q = H_0 ... H_{k-1}.
-  Matrix q(m, k);
-  for (Index j = 0; j < k; ++j) q(j, j) = 1.0;
-  apply_q(q);
-  return q;
+  const Index nc = s.cols();
+  PARSVD_REQUIRE(s.rows() == k, "q_times: S must have min(m, n) rows");
+  PARSVD_TRACE_SCOPE("linalg.qr.apply");
+  Matrix c(m, nc);
+  for (Index j = 0; j < nc; ++j) std::copy_n(s.col_data(j), k, c.col_data(j));
+  if (block_ <= 1) {
+    // 4 flops per touched entry: reflector j touches rows [j, m).
+    qr_flops().add(4ull * static_cast<std::uint64_t>(nc) *
+                   static_cast<std::uint64_t>(k * m - k * (k - 1) / 2));
+    apply_q(c);
+    return c;
+  }
+  // Q = H_0 ... H_{k-1}: blocks in reverse. Before the first (last) block
+  // only the k rows of S can be nonzero, so its Vᵀ C product stops there;
+  // every later block sees a dense operand.
+  std::uint64_t flops = 0;
+  Index filled = k;
+  const Index nblocks = (k + block_ - 1) / block_;
+  for (Index blk = nblocks - 1; blk >= 0; --blk) {
+    const Index j0 = blk * block_;
+    const Index jb = std::min(block_, k - j0);
+    // Vᵀ C over the nonzero rows, V W over every row of the block.
+    flops += 2ull * static_cast<std::uint64_t>(jb) *
+             static_cast<std::uint64_t>(nc) *
+             static_cast<std::uint64_t>((filled - j0) + (m - j0));
+    apply_wy(qr_, j0, jb, t_.col_data(j0), t_.rows(), /*transpose=*/false,
+             c.data() + j0, m, nc, filled - j0 - jb);
+    filled = m;
+  }
+  qr_flops().add(flops);
+  return c;
 }
 
 void HouseholderQr::apply_blocked(Matrix& b, bool transpose) const {
+  const Index m = qr_.rows();
   const Index k = rank_bound();
   const Index nc = b.cols();
   const Index nblocks = (k + block_ - 1) / block_;
@@ -223,9 +332,8 @@ void HouseholderQr::apply_blocked(Matrix& b, bool transpose) const {
     const Index blk = transpose ? bi : nblocks - 1 - bi;
     const Index j0 = blk * block_;
     const Index jb = std::min(block_, k - j0);
-    const Matrix v = panel_v(j0, jb);
-    const Matrix t = build_t(j0, jb);
-    apply_wy(v, t, transpose, b.data() + j0, b.rows(), nc);
+    apply_wy(qr_, j0, jb, t_.col_data(j0), t_.rows(), transpose,
+             b.data() + j0, m, nc, m - j0 - jb);
   }
 }
 
@@ -241,14 +349,8 @@ void HouseholderQr::apply_qt(Matrix& b) const {
   for (Index j = 0; j < k; ++j) {
     const double tau = tau_[static_cast<std::size_t>(j)];
     if (tau == 0.0) continue;
-    const double* v = qr_.col_data(j);
     for (Index c = 0; c < b.cols(); ++c) {
-      double* colc = b.col_data(c);
-      double w = colc[j];
-      for (Index i = j + 1; i < m; ++i) w += v[i] * colc[i];
-      w *= tau;
-      colc[j] -= w;
-      for (Index i = j + 1; i < m; ++i) colc[i] -= w * v[i];
+      reflect(tau, qr_.col_data(j) + j + 1, b.col_data(c) + j, m - j - 1);
     }
   }
 }
@@ -265,14 +367,8 @@ void HouseholderQr::apply_q(Matrix& b) const {
   for (Index j = k - 1; j >= 0; --j) {
     const double tau = tau_[static_cast<std::size_t>(j)];
     if (tau == 0.0) continue;
-    const double* v = qr_.col_data(j);
     for (Index c = 0; c < b.cols(); ++c) {
-      double* colc = b.col_data(c);
-      double w = colc[j];
-      for (Index i = j + 1; i < m; ++i) w += v[i] * colc[i];
-      w *= tau;
-      colc[j] -= w;
-      for (Index i = j + 1; i < m; ++i) colc[i] -= w * v[i];
+      reflect(tau, qr_.col_data(j) + j + 1, b.col_data(c) + j, m - j - 1);
     }
   }
 }
@@ -304,18 +400,37 @@ QrResult qr_thin_raw(const Matrix& a) {
   return {f.thin_q(), f.r()};
 }
 
-QrResult qr_thin(const Matrix& a) {
-  QrResult qr = qr_thin_raw(a);
-  // Deterministic sign convention: flip so every diagonal of R is >= 0.
-  const Index k = std::min(qr.r.rows(), qr.r.cols());
+FactoredQr::FactoredQr(Matrix a) : h_(std::move(a)), r_(h_.r()) {
+  const Index k = r_.rows();
+  flipped_.assign(static_cast<std::size_t>(k), false);
   for (Index i = 0; i < k; ++i) {
-    if (qr.r(i, i) < 0.0) {
-      for (Index j = 0; j < qr.r.cols(); ++j) qr.r(i, j) = -qr.r(i, j);
-      double* qc = qr.q.col_data(i);
-      for (Index r = 0; r < qr.q.rows(); ++r) qc[r] = -qc[r];
+    if (r_(i, i) < 0.0) {
+      flipped_[static_cast<std::size_t>(i)] = true;
+      for (Index j = 0; j < r_.cols(); ++j) r_(i, j) = -r_(i, j);
     }
   }
-  return qr;
+}
+
+Matrix FactoredQr::q_times(const Matrix& s) const {
+  PARSVD_REQUIRE(s.rows() == rank_bound(),
+                 "q_times: S must have min(m, n) rows");
+  Matrix ds = s;
+  for (Index j = 0; j < ds.cols(); ++j) {
+    double* col = ds.col_data(j);
+    for (Index i = 0; i < ds.rows(); ++i) {
+      if (flipped_[static_cast<std::size_t>(i)]) col[i] = -col[i];
+    }
+  }
+  return h_.q_times(ds);
+}
+
+Matrix FactoredQr::thin_q() const {
+  return q_times(Matrix::identity(rank_bound()));
+}
+
+QrResult qr_thin(const Matrix& a) {
+  FactoredQr f(a);
+  return {f.thin_q(), f.r()};
 }
 
 namespace {

@@ -2,17 +2,21 @@
 //
 // Householder QR is the workhorse of both the streaming SVD update
 // (Algorithm 1, step 1) and the local stage of TSQR.  The factorization is
-// *blocked*: panels of PARSVD_QR_BLOCK reflectors are factored with the
-// level-2 sweep, accumulated into a compact-WY representation
-// Q = I − V T Vᵀ (LAPACK larft convention, T upper triangular), and the
-// trailing matrix is updated with two level-3 GEMMs through the packed
-// kernel engine — so the factorization, thin_q(), and both apply paths all
-// run at GEMM speed.  We keep the factored representation so Qᵀb products
-// don't need an explicit Q, and expose a thin-QR convenience with a
-// deterministic sign convention: diag(R) >= 0.  The PyParSVD code obtains
-// cross-rank consistency by negating NumPy's Q and R ("trick for
-// consistency"); fixing the sign inside the factorization achieves the
-// same goal deterministically for every backend and rank count.
+// *blocked*: panels of PARSVD_QR_BLOCK reflectors are factored with a
+// level-2 sweep whose dot/axpy loops carry fixed-width partial sums (so
+// -O3 -march=native vectorizes them), each panel's compact-WY factor
+// Q = I − V T Vᵀ comes from one VᵀV product through the packed GEMM
+// (Walker's identity T⁻¹ = striu(VᵀV) + diag(1/τ)), and the trailing
+// matrix is updated with two level-3 GEMMs.  The reflectors stay in place
+// in the factored matrix; no explicit V is ever copied out.  Q itself is
+// rarely needed: q_times(S) forms Q·[S; 0] straight from the reflectors,
+// which is what the streaming update wants (the K kept modes of an
+// m x (K+B) Q).  The tall-skinny GEMMs inside run on one thread.
+// qr_thin() still offers the explicit thin Q with a deterministic sign
+// convention: diag(R) >= 0.  The PyParSVD code obtains cross-rank
+// consistency by negating NumPy's Q and R ("trick for consistency");
+// fixing the sign inside the factorization achieves the same goal
+// deterministically for every backend and rank count.
 #pragma once
 
 #include "linalg/matrix.hpp"
@@ -34,14 +38,12 @@ struct QrResult {
 /// min(m,n) exceeds the panel width.
 class HouseholderQr {
  public:
-  /// Factor A (any shape; m >= 1, n >= 1) with the default panel width
-  /// (PARSVD_QR_BLOCK, default 32).
-  explicit HouseholderQr(const Matrix& a);
-
-  /// Factor with an explicit panel width. `block <= 1` forces the
-  /// unblocked column-at-a-time sweep (the reference path tests compare
-  /// against); `block == 0` selects the default.
-  HouseholderQr(const Matrix& a, Index block);
+  /// Factor A (any shape; m >= 1, n >= 1) in place of its own storage
+  /// (pass an rvalue to avoid the copy). `block` is the panel width:
+  /// 0 selects the default (PARSVD_QR_BLOCK, default 32), `block <= 1`
+  /// forces the unblocked column-at-a-time sweep (the reference path
+  /// tests compare against).
+  explicit HouseholderQr(Matrix a, Index block = 0);
 
   Index rows() const { return qr_.rows(); }
   Index cols() const { return qr_.cols(); }
@@ -53,8 +55,13 @@ class HouseholderQr {
   /// R factor, min(m,n) x n, upper triangular/trapezoidal.
   Matrix r() const;
 
-  /// Thin Q, m x min(m,n), orthonormal columns (built via the blocked
-  /// apply path).
+  /// Q·[S; 0] (m x S.cols()) for S with min(m,n) rows, computed from
+  /// the stored reflectors without forming Q. The first block applied
+  /// sees only S's rows, so for a single panel the work is one
+  /// m x jb x S.cols() GEMM instead of forming all of Q and multiplying.
+  Matrix q_times(const Matrix& s) const;
+
+  /// Thin Q, m x min(m,n), orthonormal columns: q_times(I).
   Matrix thin_q() const;
 
   /// In-place B := Qᵀ B (B has m rows).
@@ -73,19 +80,44 @@ class HouseholderQr {
   /// Level-2 panel sweep over columns [j0, j0+jb); reflections are applied
   /// to columns [j0, update_to) only.
   void factor_panel(Index j0, Index jb, Index update_to);
-  /// Explicit V for reflectors [j0, j0+jb): (m-j0) x jb, unit lower
-  /// trapezoidal (implicit ones materialized, upper part zeroed).
-  Matrix panel_v(Index j0, Index jb) const;
-  /// Compact-WY T factor (jb x jb upper triangular, LAPACK larft forward
-  /// columnwise) for reflectors [j0, j0+jb).
-  Matrix build_t(Index j0, Index jb) const;
+  /// Compact-WY T factor of reflectors [j0, j0+jb) (jb x jb upper
+  /// triangular, LAPACK larft's forward convention), written to
+  /// t_(0:jb, j0:j0+jb).
+  void build_t(Index j0, Index jb);
   /// B := Q B (forward=false) or Qᵀ B (forward=true) for B with qr_.rows()
   /// rows, using the blocked WY representation.
   void apply_blocked(Matrix& b, bool transpose) const;
 
   Matrix qr_;                 // reflectors below diagonal, R on/above
   std::vector<double> tau_;   // reflector scaling coefficients
+  Matrix t_;                  // per-panel T factors side by side (blocked)
   Index block_ = 1;           // panel width used by blocked paths
+};
+
+/// Thin QR with the deterministic sign convention diag(R) >= 0 and Q kept
+/// in factored form: Q = H·D for the Householder product H and the sign
+/// flip D = diag(±1) that makes diag(R) >= 0. Q·S costs one apply of the
+/// reflectors to D·S, so callers that only need Q times a few columns
+/// never form Q.
+class FactoredQr {
+ public:
+  explicit FactoredQr(Matrix a);
+
+  /// R, min(m,n) x n, upper triangular/trapezoidal with diag(R) >= 0.
+  const Matrix& r() const { return r_; }
+  /// Columns of the thin Q = min(m, n).
+  Index rank_bound() const { return h_.rank_bound(); }
+
+  /// Q·S (m x S.cols()) for S with rank_bound() rows.
+  Matrix q_times(const Matrix& s) const;
+
+  /// Explicit thin Q, m x min(m,n): q_times(I).
+  Matrix thin_q() const;
+
+ private:
+  HouseholderQr h_;
+  Matrix r_;
+  std::vector<bool> flipped_;  // rows of R (columns of Q) negated
 };
 
 /// Thin QR with the deterministic sign convention diag(R) >= 0.

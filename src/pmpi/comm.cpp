@@ -752,7 +752,11 @@ void pack_matrix_into(const Matrix& m, std::vector<std::byte>& out) {
   const std::size_t base = out.size();
   out.resize(base + sizeof(header) + body);
   std::memcpy(out.data() + base, header, sizeof(header));
-  std::memcpy(out.data() + base + sizeof(header), m.data(), body);
+  // An empty matrix may have no storage: memcpy from null is undefined
+  // even for zero bytes.
+  if (body > 0) {
+    std::memcpy(out.data() + base + sizeof(header), m.data(), body);
+  }
 }
 
 std::vector<std::byte> pack_matrix(const Matrix& m) {
@@ -1090,7 +1094,7 @@ void Communicator::bcast_matrix_ft(Matrix& m, int root) {
 
 void Communicator::bcast_doubles_ft(std::vector<double>& values, int root) {
   std::vector<std::byte> payload;
-  if (rank_ == root) {
+  if (rank_ == root && !values.empty()) {
     payload.resize(values.size() * sizeof(double));
     std::memcpy(payload.data(), values.data(), payload.size());
   }
@@ -1099,7 +1103,9 @@ void Communicator::bcast_doubles_ft(std::vector<double>& values, int root) {
     PARSVD_REQUIRE(payload.size() % sizeof(double) == 0,
                    "bcast_doubles_ft: payload not a whole number of doubles");
     values.resize(payload.size() / sizeof(double));
-    std::memcpy(values.data(), payload.data(), payload.size());
+    if (!payload.empty()) {
+      std::memcpy(values.data(), payload.data(), payload.size());
+    }
   }
 }
 

@@ -655,7 +655,9 @@ std::vector<T> Communicator::gatherv(std::span<const T> local, int root,
   static_assert(std::is_trivially_copyable_v<T>);
   check_peer(root);
   std::vector<std::byte> payload(local.size_bytes());
-  std::memcpy(payload.data(), local.data(), local.size_bytes());
+  if (!local.empty()) {
+    std::memcpy(payload.data(), local.data(), local.size_bytes());
+  }
   std::vector<std::vector<std::byte>> parts =
       gather_bytes_impl(std::move(payload), root);
   if (rank_ != root) return {};

@@ -21,6 +21,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <span>
@@ -126,6 +127,54 @@ TEST(FaultPlanTest, FromEnvReadsRatesAndDefaultsEmpty) {
 }
 
 // ------------------------------------------- single-fault recovery paths
+
+TEST(FaultReportEncoding, RoundTrips) {
+  FaultReport rep;
+  rep.degraded = true;
+  rep.dead_ranks = {1, 3};
+  rep.surviving_rows = 600;
+  rep.lost_rows = 200;
+  rep.extent_known = true;
+  rep.coverage = 0.75;
+  rep.accuracy_bound = 0.5;
+  const FaultReport back = FaultReport::from_doubles(rep.to_doubles());
+  EXPECT_EQ(back.to_doubles(), rep.to_doubles());
+}
+
+TEST(FaultReportEncoding, RejectsMalformedFieldsBeforeCasting) {
+  // The encoding rides a broadcast; a corrupt field must raise a typed
+  // error, never reach a double -> integer cast (undefined for NaN,
+  // negative or out-of-range values).
+  FaultReport rep;
+  rep.degraded = true;
+  rep.dead_ranks = {2};
+  rep.surviving_rows = 300;
+  rep.lost_rows = 100;
+  const std::vector<double> good = rep.to_doubles();
+  ASSERT_NO_THROW(FaultReport::from_doubles(good));
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  // Field index: 0 degraded, 1 ndead, 2 dead rank, 3 surviving_rows,
+  // 4 lost_rows, 5 extent_known, 6 coverage, 7 accuracy_bound.
+  for (std::size_t field = 0; field < good.size(); ++field) {
+    for (double bad : {nan, -1.0, 1e300, 0.5}) {
+      // 0.5 is a valid coverage / accuracy_bound value.
+      if (field >= 6 && bad == 0.5) continue;
+      std::vector<double> flat = good;
+      flat[field] = bad;
+      SCOPED_TRACE(::testing::Message() << "field " << field << " = " << bad);
+      EXPECT_THROW(FaultReport::from_doubles(flat), CommError);
+    }
+  }
+  // ndead that does not match the payload length, either way.
+  for (double ndead : {0.0, 2.0, 1e18}) {
+    std::vector<double> flat = good;
+    flat[1] = ndead;
+    SCOPED_TRACE(::testing::Message() << "ndead = " << ndead);
+    EXPECT_THROW(FaultReport::from_doubles(flat), CommError);
+  }
+  EXPECT_THROW(FaultReport::from_doubles(std::vector<double>(6, 0.0)),
+               CommError);
+}
 
 TEST(FaultInjection, DropIsRecoveredFromRetransmitLog) {
   FaultPlan plan;
@@ -470,11 +519,11 @@ TEST(FaultDegraded, TsqrExcludesDeadRankAndStaysAFactorization) {
     EXPECT_EQ(res->excluded_ranks, std::vector<int>{1});
     // Still an exact factorization of the surviving rows.
     testing::expect_matrix_near(
-        testing::naive_matmul(res->q_local, res->r),
+        testing::naive_matmul(res->q_local(), res->r),
         blocks[static_cast<std::size_t>(r)], 1e-10, "q_local * r");
   }
   // Survivor Q slices stack to an orthonormal basis.
-  const Matrix stacked = vcat(results[0]->q_local, results[2]->q_local);
+  const Matrix stacked = vcat(results[0]->q_local(), results[2]->q_local());
   EXPECT_LT(testing::ortho_defect(stacked), 1e-10);
 }
 

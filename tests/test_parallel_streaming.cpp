@@ -3,11 +3,13 @@
 // TSQR-variant independence, randomized path, mode gathering.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <mutex>
 
 #include "core/factory.hpp"
 #include "core/parallel_streaming.hpp"
 #include "post/metrics.hpp"
+#include "support/thread_pool.hpp"
 #include "test_utils.hpp"
 #include "workloads/batch_source.hpp"
 #include "workloads/burgers.hpp"
@@ -93,6 +95,40 @@ TEST(ParallelStreaming, MatchesSerialOnBurgers) {
   for (Index j = 0; j < errs.size(); ++j) {
     EXPECT_LT(errs[j], 5e-3) << "mode " << j;
   }
+}
+
+TEST(ParallelStreaming, BitIdenticalAcrossPoolSizes) {
+  // The QR's tall-skinny GEMMs run on one thread, and every other product
+  // splits C by columns without changing any entry's summation order, so
+  // the pool size must not move a single bit of either solver's output.
+  const Matrix a = burgers_data(4096, 120);
+  StreamingOptions opts;
+  opts.num_modes = 10;
+  opts.forget_factor = 1.0;
+  struct Outputs {
+    Matrix serial_modes;
+    Vector serial_s;
+    ParallelRun par;
+  };
+  const auto solve = [&](std::size_t threads) {
+    ThreadPool::set_global_threads(threads);
+    Outputs out;
+    run_serial_reference(a, 40, opts, out.serial_modes, out.serial_s);
+    out.par = run_parallel_streaming(a, 4, 40, opts);
+    return out;
+  };
+  const Outputs one = solve(1);  // as PARSVD_NUM_THREADS=1: no workers
+  const Outputs pooled = solve(4);
+  ThreadPool::set_global_threads(0);
+  const auto bits_equal = [](const auto& x, const auto& y) {
+    const auto bytes = static_cast<std::size_t>(x.size()) * sizeof(double);
+    return x.size() == y.size() &&
+           std::memcmp(x.data(), y.data(), bytes) == 0;
+  };
+  EXPECT_TRUE(bits_equal(one.serial_modes, pooled.serial_modes));
+  EXPECT_TRUE(bits_equal(one.serial_s, pooled.serial_s));
+  EXPECT_TRUE(bits_equal(one.par.modes, pooled.par.modes));
+  EXPECT_TRUE(bits_equal(one.par.s, pooled.par.s));
 }
 
 TEST(ParallelStreaming, FfOneEqualsBatchSvd) {

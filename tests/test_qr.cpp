@@ -4,6 +4,8 @@
 
 #include <cmath>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include "linalg/blas.hpp"
 #include "linalg/qr.hpp"
@@ -250,6 +252,146 @@ TEST(BlockedQr, LeastSquaresMatchesUnblocked) {
   const Vector x_ref = HouseholderQr(a, 1).solve_least_squares(b);
   const Vector x_blk = HouseholderQr(a, 8).solve_least_squares(b);
   testing::expect_vector_near(x_blk, x_ref, 1e-11);
+}
+
+// ------------------------------------------------------ Q·[S; 0] apply
+
+namespace {
+
+enum class Fill { Random, RankDeficient, Zero, Graded };
+
+const char* fill_name(Fill f) {
+  switch (f) {
+    case Fill::Random: return "random";
+    case Fill::RankDeficient: return "rank-deficient";
+    case Fill::Zero: return "zero";
+    case Fill::Graded: return "graded";
+  }
+  return "?";
+}
+
+Matrix make_input(Index m, Index n, Fill fill, std::uint64_t seed) {
+  Matrix a = random_matrix(m, n, seed);
+  switch (fill) {
+    case Fill::Random:
+      break;
+    case Fill::RankDeficient:
+      // Every third column zero: it stays exactly zero under the earlier
+      // reflectors, so its own reflector is the identity (τ = 0) on the
+      // blocked and the unblocked path alike.
+      for (Index j = 1; j < n; j += 3) {
+        for (Index i = 0; i < m; ++i) a(i, j) = 0.0;
+      }
+      break;
+    case Fill::Zero:
+      a = Matrix(m, n);
+      break;
+    case Fill::Graded:
+      for (Index j = 0; j < n; ++j) {
+        const double scale = std::pow(10.0, -0.3 * static_cast<double>(j));
+        for (Index i = 0; i < m; ++i) a(i, j) *= scale;
+      }
+      break;
+  }
+  return a;
+}
+
+}  // namespace
+
+TEST(QTimes, MatchesThinQTimesS) {
+  for (Index n : {1, 30, 31, 32, 33, 65, 204}) {
+    // Tall, square and wide (wide needs n >= 2).
+    std::vector<Index> heights = {3 * n + 7, n};
+    if (n > 1) heights.push_back(n / 2);
+    for (Index m : heights) {
+      for (Fill fill : {Fill::Random, Fill::RankDeficient, Fill::Zero,
+                        Fill::Graded}) {
+        SCOPED_TRACE(::testing::Message() << "m=" << m << " n=" << n << " "
+                                          << fill_name(fill));
+        const Matrix a = make_input(m, n, fill, 900 + m + n);
+        const HouseholderQr f(a);
+        const HouseholderQr ref(a, 1);
+        const Index k = f.rank_bound();
+        const Matrix s = random_matrix(k, 7, 901 + m + n);
+        const Matrix got = f.q_times(s);
+        ASSERT_EQ(got.rows(), m);
+        ASSERT_EQ(got.cols(), 7);
+        expect_matrix_near(got, naive_matmul(f.thin_q(), s), 1e-11);
+        // The unblocked sweep applies each reflector on its own.
+        expect_matrix_near(got, ref.q_times(s), 1e-11);
+        if (fill == Fill::RankDeficient && k > 1) {
+          EXPECT_EQ(f.r()(1, 1), 0.0);  // the zero column's τ = 0 pivot
+        }
+        if (fill == Fill::Zero) {
+          // Every reflector is the identity: Q·[S; 0] is exactly [S; 0].
+          Matrix want(m, 7);
+          for (Index j = 0; j < 7; ++j) {
+            for (Index i = 0; i < k; ++i) want(i, j) = s(i, j);
+          }
+          expect_matrix_near(got, want, 0.0);
+        }
+      }
+    }
+  }
+}
+
+TEST(QTimes, MultiPanelMatchesUnblocked) {
+  // Narrow panels so every shape crosses several panel boundaries,
+  // including a ragged last panel.
+  for (Index block : {2, 5, 8}) {
+    for (Fill fill : {Fill::Random, Fill::RankDeficient, Fill::Graded}) {
+      SCOPED_TRACE(::testing::Message() << "block=" << block << " "
+                                        << fill_name(fill));
+      const Matrix a = make_input(97, 33, fill, 910 + block);
+      const HouseholderQr blk(a, block);
+      const HouseholderQr ref(a, 1);
+      const Matrix s = random_matrix(33, 4, 911);
+      expect_matrix_near(blk.q_times(s), ref.q_times(s), 1e-12);
+      expect_matrix_near(blk.r(), ref.r(), 1e-12);
+    }
+  }
+}
+
+TEST(QTimes, RejectsWrongRowCount) {
+  const HouseholderQr f(random_matrix(20, 6, 920));
+  EXPECT_THROW(f.q_times(Matrix(5, 2)), Error);
+  EXPECT_THROW(f.q_times(Matrix(7, 2)), Error);
+}
+
+TEST(QTimes, ExtremeColumnScalesStayAccurate) {
+  // Column norms whose squares underflow or overflow take the scaled
+  // norm path inside the reflector generation.
+  for (double scale : {1e-170, 1e170}) {
+    SCOPED_TRACE(::testing::Message() << "scale=" << scale);
+    Matrix a = random_matrix(60, 12, 930);
+    for (Index j = 0; j < a.cols(); ++j) {
+      for (Index i = 0; i < a.rows(); ++i) a(i, j) *= scale;
+    }
+    const HouseholderQr f(a);
+    const Matrix q = f.thin_q();
+    EXPECT_LT(ortho_defect(q), 1e-12);
+    Matrix qr = naive_matmul(q, f.r());
+    for (Index j = 0; j < a.cols(); ++j) {
+      for (Index i = 0; i < a.rows(); ++i) {
+        EXPECT_NEAR(qr(i, j) / scale, a(i, j) / scale, 1e-12);
+      }
+    }
+  }
+}
+
+TEST(FactoredQr, MatchesQrThin) {
+  for (const auto& [m, n] : {std::pair<Index, Index>{50, 12}, {12, 12},
+                             {8, 20}}) {
+    SCOPED_TRACE(::testing::Message() << "m=" << m << " n=" << n);
+    const Matrix a = random_matrix(m, n, 940 + m + n);
+    const FactoredQr f(a);
+    const QrResult qr = qr_thin(a);
+    expect_matrix_near(f.r(), qr.r, 0.0);
+    for (Index i = 0; i < f.rank_bound(); ++i) EXPECT_GE(f.r()(i, i), 0.0);
+    const Matrix s = random_matrix(f.rank_bound(), 3, 941);
+    expect_matrix_near(f.q_times(s), naive_matmul(qr.q, s), 1e-12);
+    expect_matrix_near(naive_matmul(f.thin_q(), f.r()), a, 1e-11);
+  }
 }
 
 TEST(Mgs2, OrthonormalizesWellConditioned) {

@@ -31,7 +31,7 @@ QrResult run_tsqr(const Matrix& a, int p, TsqrVariant variant) {
     const Matrix local = a.block(part.offset, 0, part.count, a.cols());
     TsqrResult res = tsqr(comm, local, variant);
     std::lock_guard<std::mutex> lock(mu);
-    q_blocks[static_cast<std::size_t>(comm.rank())] = std::move(res.q_local);
+    q_blocks[static_cast<std::size_t>(comm.rank())] = res.q_local();
     if (comm.is_root()) r = std::move(res.r);
   });
   return {vcat(q_blocks), std::move(r)};
@@ -119,6 +119,41 @@ TEST(Tsqr, EmptyLocalBlockThrows) {
   pmpi::run(1, [](Communicator& comm) {
     EXPECT_THROW(tsqr(comm, Matrix{}, TsqrVariant::Direct), Error);
   });
+}
+
+TEST(Tsqr, QTimesMatchesFormedSlice) {
+  // q_times(S) applies this rank's reflectors to transform·S without
+  // forming the slice; it must agree with q_local()·S for every variant
+  // and rank count, including ranks holding fewer rows than columns.
+  struct Mode {
+    TsqrVariant variant;
+    bool fault_tolerant;
+  };
+  const Mode modes[] = {{TsqrVariant::Direct, false},
+                        {TsqrVariant::Tree, false},
+                        {TsqrVariant::Direct, true}};
+  for (const Index rows : {75, 20}) {
+    const Matrix a = random_matrix(rows, 9, 85);
+    const Matrix s = random_matrix(9, 4, 86);
+    for (const Mode& mode : modes) {
+      for (int p = 1; p <= 5; ++p) {
+        SCOPED_TRACE(::testing::Message()
+                     << "rows=" << rows << " p=" << p << " ft="
+                     << mode.fault_tolerant << " tree="
+                     << (mode.variant == TsqrVariant::Tree));
+        pmpi::run(p, [&](Communicator& comm) {
+          const auto part = partition_rows(a.rows(), p, comm.rank());
+          const TsqrResult res =
+              tsqr(comm, a.block(part.offset, 0, part.count, a.cols()),
+                   mode.variant, mode.fault_tolerant);
+          const Matrix q = res.q_local();
+          ASSERT_EQ(q.rows(), part.count);
+          ASSERT_EQ(q.cols(), 9);
+          expect_matrix_near(res.q_times(s), naive_matmul(q, s), 1e-12);
+        });
+      }
+    }
+  }
 }
 
 TEST(Tsqr, NonPowerOfTwoTreeRanks) {
