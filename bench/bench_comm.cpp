@@ -193,7 +193,7 @@ PrefetchRun run_streaming_once(int p, Index rows_per_rank, Index snapshots,
     };
     auto source = std::make_unique<wl::GeneratorBatchSource>(
         part.count, snapshots, std::move(gen));
-    parsvd::ParallelStreamingSVD svd(comm, sopts, parsvd::TsqrVariant::Tree);
+    parsvd::ParallelStreamingSVD svd(comm, sopts);
     wl::StreamingExecutorOptions eopts;
     eopts.batch_cols = batch;
     eopts.prefetch = prefetch;

@@ -81,7 +81,7 @@ RunResult run_streaming_once(Index rows_per_rank, Index snapshots,
     };
     auto source = std::make_unique<wl::GeneratorBatchSource>(
         part.count, snapshots, std::move(gen));
-    parsvd::ParallelStreamingSVD svd(comm, sopts, parsvd::TsqrVariant::Tree);
+    parsvd::ParallelStreamingSVD svd(comm, sopts);
     wl::StreamingExecutorOptions eopts;
     eopts.batch_cols = batch;
     wl::run_streaming(svd, std::move(source), eopts);

@@ -39,8 +39,8 @@ void IncrementalSVD::initialize(const Matrix& batch) {
   PARSVD_REQUIRE(!batch.empty(), "empty initial batch");
   num_rows_ = batch.rows();
 
-  const Matrix scaled = apply_row_weights(batch);
-  QrResult qr = qr_thin(scaled);
+  Matrix scaled;
+  QrResult qr = qr_thin(apply_row_weights(batch, scaled));
   const Index keep =
       std::min(opts_.num_modes, std::min(batch.rows(), batch.cols()));
   SvdResult f = inner_svd(qr.r, keep);
@@ -61,7 +61,8 @@ void IncrementalSVD::incorporate_data(const Matrix& batch) {
   ++iteration_;
   snapshots_seen_ += batch.cols();
 
-  const Matrix c = apply_row_weights(batch);
+  Matrix scaled;
+  const Matrix& c = apply_row_weights(batch, scaled);
   const Index k = modes_.cols();
   const Index b = c.cols();
 

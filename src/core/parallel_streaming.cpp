@@ -14,12 +14,8 @@
 namespace parsvd {
 
 ParallelStreamingSVD::ParallelStreamingSVD(pmpi::Communicator& comm,
-                                           StreamingOptions opts,
-                                           TsqrVariant tsqr_variant)
-    : SvdBase(std::move(opts)),
-      comm_(comm),
-      tsqr_variant_(tsqr_variant),
-      rng_(opts_.randomized.seed) {}
+                                           StreamingOptions opts, TsqrVariant)
+    : SvdBase(std::move(opts)), comm_(comm), rng_(opts_.randomized.seed) {}
 
 void ParallelStreamingSVD::initialize(const Matrix& batch) {
   PARSVD_REQUIRE(!initialized_, "initialize() called twice");
@@ -38,16 +34,13 @@ void ParallelStreamingSVD::initialize(const Matrix& batch) {
   }
   rows_by_rank_ = all_rows;
 
-  const Matrix weighted = apply_row_weights(batch);
-
   // Fault-tolerant bookkeeping: record every rank's row extent (above)
   // and initial Frobenius energy while everyone is still alive, so a
   // later death yields exact lost_rows and a sharp coverage bound.
   // initialize() itself is a healthy collective — all ranks must
   // survive it; deaths are tolerated from the first streaming update on.
   if (opts_.fault_tolerant) {
-    const double frob = weighted.norm_fro();
-    energy_by_rank_ = comm_.allgather_double(frob * frob);
+    energy_by_rank_ = comm_.allgather_double(weighted_energy(batch));
   }
 
   // Listing 2: initialization runs APMOS with r1 = r2 = K (the parallel
@@ -59,7 +52,9 @@ void ParallelStreamingSVD::initialize(const Matrix& batch) {
   aopts.low_rank = opts_.low_rank;
   aopts.randomized = opts_.randomized;
   aopts.method = opts_.method;
-  ApmosResult init = apmos_svd(comm_, weighted, aopts, &rng_);
+  Matrix scaled;
+  ApmosResult init =
+      apmos_svd(comm_, apply_row_weights(batch, scaled), aopts, &rng_);
 
   u_local_ = std::move(init.u_local);
   singular_values_ = std::move(init.s);
@@ -114,8 +109,7 @@ void ParallelStreamingSVD::incorporate_data(const Matrix& batch) {
   // dies later in this update counts its in-flight batch as lost (the
   // conservative direction for the coverage bound).
   if (opts_.fault_tolerant) {
-    const double frob = apply_row_weights(batch).norm_fro();
-    const double energy = frob * frob;
+    const double energy = weighted_energy(batch);
     std::array<std::byte, sizeof(double)> buf;
     std::memcpy(buf.data(), &energy, sizeof(double));
     const auto raw = comm_.gather_bytes_ft(buf, 0);
@@ -133,7 +127,7 @@ void ParallelStreamingSVD::incorporate_data(const Matrix& batch) {
   // Step 1 (distributed): concatenate the discounted local factorization
   // with the new local snapshots, then TSQR across ranks.
   TsqrResult qr = tsqr(comm_, discounted_concat(u_local_, batch),
-                       tsqr_variant_, opts_.fault_tolerant);
+                       opts_.fault_tolerant);
 
   // Step 2 (small, at root): SVD of the global R, truncated to K.
   // PyParSVD's listing only truncates on the low-rank path, which lets
@@ -215,8 +209,9 @@ Matrix ParallelStreamingSVD::project(const Matrix& batch) {
   PARSVD_REQUIRE(batch.rows() == num_rows_,
                  "project: batch row count differs from this rank's block");
   // Local contribution of the W-inner product, summed across ranks.
-  Matrix local =
-      matmul(u_local_, apply_row_weights(batch), Trans::Yes, Trans::No);
+  Matrix scaled;
+  Matrix local = matmul(u_local_, apply_row_weights(batch, scaled),
+                        Trans::Yes, Trans::No);
   std::span<double> flat(local.data(), static_cast<std::size_t>(local.size()));
   if (opts_.fault_tolerant) {
     comm_.allreduce_sum_ft(flat, 0);

@@ -14,12 +14,19 @@
 
 namespace parsvd {
 
+/// Kept only as the ignored third parameter of the ParallelStreamingSVD
+/// constructor, which the end-to-end benchmark still passes; the next
+/// change to that benchmark drops the argument and this enum with it.
+/// There is one TSQR (see core/tsqr.hpp).
+enum class TsqrVariant { Direct };
+
 class ParallelStreamingSVD final : public SvdBase {
  public:
   /// `comm` must outlive the object; every rank of the communicator
-  /// constructs its own instance with identical options.
+  /// constructs its own instance with identical options. The third
+  /// parameter is ignored (see TsqrVariant).
   ParallelStreamingSVD(pmpi::Communicator& comm, StreamingOptions opts,
-                       TsqrVariant tsqr_variant = TsqrVariant::Direct);
+                       TsqrVariant = TsqrVariant::Direct);
 
   /// Collective. `batch` is this rank's row-block of the first batch.
   void initialize(const Matrix& batch) override;
@@ -70,7 +77,6 @@ class ParallelStreamingSVD final : public SvdBase {
   void update_fault_report();
 
   pmpi::Communicator& comm_;
-  TsqrVariant tsqr_variant_;
   Matrix u_local_;        // local rows of the global modes, M_i x K
   Rng rng_;               // root-rank sketch stream (low_rank mode)
   Index num_rows_ = 0;    // this rank's row count (fixed after init)

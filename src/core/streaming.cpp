@@ -11,11 +11,12 @@ namespace parsvd {
 
 SvdBase::SvdBase(StreamingOptions opts) : opts_(opts) { opts_.validate(); }
 
-Matrix SvdBase::apply_row_weights(const Matrix& batch) const {
+const Matrix& SvdBase::apply_row_weights(const Matrix& batch,
+                                         Matrix& scaled) const {
   if (opts_.row_weights.empty()) return batch;
   PARSVD_REQUIRE(opts_.row_weights.size() == batch.rows(),
                  "row_weights length must match the batch row count");
-  Matrix scaled = batch;
+  scaled = batch;
   for (Index j = 0; j < scaled.cols(); ++j) {
     double* col = scaled.col_data(j);
     for (Index i = 0; i < scaled.rows(); ++i) {
@@ -23,6 +24,23 @@ Matrix SvdBase::apply_row_weights(const Matrix& batch) const {
     }
   }
   return scaled;
+}
+
+double SvdBase::weighted_energy(const Matrix& batch) const {
+  if (opts_.row_weights.empty()) {
+    const double frob = batch.norm_fro();
+    return frob * frob;
+  }
+  PARSVD_REQUIRE(opts_.row_weights.size() == batch.rows(),
+                 "row_weights length must match the batch row count");
+  double energy = 0.0;
+  for (Index j = 0; j < batch.cols(); ++j) {
+    const double* col = batch.col_data(j);
+    for (Index i = 0; i < batch.rows(); ++i) {
+      energy += opts_.row_weights[i] * col[i] * col[i];
+    }
+  }
+  return energy;
 }
 
 Matrix SvdBase::remove_row_weights(const Matrix& modes) const {
@@ -72,7 +90,9 @@ Matrix SvdBase::physical_modes() { return remove_row_weights(modes_); }
 Matrix SvdBase::project(const Matrix& batch) {
   require_initialized();
   // In √w space: C = modes_ᵀ (√w ∘ B) = Φᵀ W B, since Φ = W^{-1/2} modes_.
-  return matmul(modes_, apply_row_weights(batch), Trans::Yes, Trans::No);
+  Matrix scaled;
+  return matmul(modes_, apply_row_weights(batch, scaled), Trans::Yes,
+                Trans::No);
 }
 
 Matrix SvdBase::reconstruct(const Matrix& coefficients) const {
@@ -103,8 +123,9 @@ void SerialStreamingSVD::initialize(const Matrix& batch) {
   num_rows_ = batch.rows();
 
   // I1-I2 of Algorithm 1: QR of the first batch, SVD of the small R,
-  // lift U through Q. Weighted problems run on the √w-scaled data.
-  const FactoredQr qr(apply_row_weights(batch));
+  // lift U through Q. Weighted problems run on the √w-scaled data: the
+  // update input [ff·UΣ | √w ∘ A] with no modes yet, in one allocation.
+  const FactoredQr qr(discounted_concat(Matrix(batch.rows(), 0), batch));
   const Index keep = std::min(opts_.num_modes, std::min(batch.rows(), batch.cols()));
   SvdResult f = inner_svd(qr.r(), keep);
   modes_ = qr.q_times(f.u.left_cols(keep));

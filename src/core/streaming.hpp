@@ -78,11 +78,15 @@ class SvdBase {
     PARSVD_REQUIRE(initialized_, "initialize() must be called first");
   }
 
-  /// Returns `batch` with row i scaled by √row_weights[i] (the map into
-  /// the Euclidean space the factorization runs in); pass-through when
-  /// no weights are configured. Validates the weight length lazily on
-  /// the first batch.
-  Matrix apply_row_weights(const Matrix& batch) const;
+  /// `batch` with row i scaled by √row_weights[i] (the map into the
+  /// Euclidean space the factorization runs in). With no weights
+  /// configured this is `batch` itself, read in place; otherwise the
+  /// scaled copy is built in `scaled` and returned. Validates the weight
+  /// length lazily on the first batch.
+  const Matrix& apply_row_weights(const Matrix& batch, Matrix& scaled) const;
+
+  /// ‖√w ∘ batch‖_F² without forming the scaled batch.
+  double weighted_energy(const Matrix& batch) const;
 
   /// Undo the √w scaling on a mode block whose rows correspond to
   /// row_weights (identity when unweighted).

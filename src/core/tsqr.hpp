@@ -1,31 +1,25 @@
 // Distributed tall-skinny QR (TSQR).
 //
 // The streaming update (Algorithm 1, step 1) needs the QR of a tall
-// matrix whose rows are partitioned across ranks.  Two variants:
+// matrix whose rows are partitioned across ranks. This is the direct
+// TSQR of Benson, Gleich & Demmel (2013), the one PyParSVD implements in
+// Listing 4: every rank computes a local thin QR, the R factors are
+// gathered and stacked at rank 0, one QR of the (Σkᵢ x n) stack yields
+// the global R, and rank 0 sends each rank the matching row-slice of the
+// stack's Q, so Q_localᵢ = Qᵢ · sliceᵢ. The root receives O(p·n²) bytes;
+// a reduction-tree TSQR would cut that to O(n²) per message, which
+// matters only at a rank count no workload here runs (DESIGN §7).
 //
-//   Direct (Benson, Gleich & Demmel 2013; the one PyParSVD implements in
-//   Listing 4): every rank computes a local thin QR, the R factors are
-//   gathered and stacked at rank 0, one QR of the (Σkᵢ x n) stack yields
-//   the global R, and rank 0 scatters the matching row-slices of the
-//   stack's Q back so each rank holds Q_localᵢ = Qᵢ · sliceᵢ.
-//
-//   Tree: R factors combine pairwise up a binary reduction tree and the
-//   per-pair Q blocks are unwound down the same tree.  Message sizes stay
-//   O(n²) regardless of rank count, at the price of log₂(p) rounds —
-//   the classic trade against the direct variant's O(p·n²) root hotspot.
-//
-// Both end with an n x n transform T per rank, Q_localᵢ = Qᵢ · T, and
-// return it next to the local factor Qᵢ in reflector form: the streaming
-// update only needs Q_local times its K kept modes (q_times), so the
-// m x n slice is never formed. Both use the deterministic
-// positive-diagonal sign convention from qr_thin, which replaces the
-// sign-negation "trick for consistency" in the PyParSVD listing (see
+// The result keeps the n x n transform next to the local factor Qᵢ in
+// reflector form: the streaming update only needs Q_local times its K
+// kept modes (q_times), so the m x n slice is never formed. The
+// deterministic positive-diagonal sign convention from qr_thin replaces
+// the sign-negation "trick for consistency" in the PyParSVD listing (see
 // DESIGN.md §4).
 #pragma once
 
 #include <vector>
 
-#include "core/options.hpp"
 #include "linalg/matrix.hpp"
 #include "linalg/qr.hpp"
 #include "pmpi/comm.hpp"
@@ -57,16 +51,14 @@ struct TsqrResult {
 
 /// Distributed thin QR of the implicitly row-stacked matrix
 /// A = [a_local⁰; a_local¹; ...]. Collective: every rank must call with
-/// the same column count and variant.
+/// the same column count and the same `fault_tolerant` flag.
 ///
 /// With `fault_tolerant` set the gather/broadcast legs use the
 /// ft-collectives: ranks that die mid-call are excluded and the
 /// factorization completes on the survivors' rows (excluded_ranks lists
-/// the casualties). Only the Direct variant supports exclusion — Tree
-/// falls back to Direct in fault-tolerant mode. Rank 0's death remains
-/// unrecoverable (it owns the stacked factorization).
+/// the casualties). Rank 0's death remains unrecoverable (it owns the
+/// stacked factorization).
 TsqrResult tsqr(pmpi::Communicator& comm, Matrix a_local,
-                TsqrVariant variant = TsqrVariant::Direct,
                 bool fault_tolerant = false);
 
 }  // namespace parsvd

@@ -1,6 +1,7 @@
 #include "io/snapshot_store.hpp"
 
 #include <algorithm>
+#include <limits>
 
 namespace parsvd::io {
 namespace {
@@ -107,20 +108,36 @@ SnapshotReader::SnapshotReader(const std::string& path) : path_(path) {
     throw IoError("not a snapshot store: " + path);
   }
   if (h.version != kVersion) throw IoError("unsupported store version: " + path);
+  if (h.rows <= 0 || h.snapshots < 0 || h.chunk_cols <= 0) {
+    throw IoError("corrupt snapshot store header (bad extent): " + path);
+  }
   rows_ = static_cast<Index>(h.rows);
   snapshots_ = static_cast<Index>(h.snapshots);
   chunk_cols_ = static_cast<Index>(h.chunk_cols);
-  PARSVD_REQUIRE(rows_ > 0 && snapshots_ >= 0 && chunk_cols_ > 0,
-                 "corrupt snapshot store header");
+  // Every offset element_offset forms lies inside the data region of
+  // whole chunks, so checking that region's extent once makes the
+  // per-read arithmetic overflow-free.
+  const auto chunks = static_cast<std::uint64_t>(
+      snapshots_ / chunk_cols_ + (snapshots_ % chunk_cols_ != 0 ? 1 : 0));
+  std::uint64_t data_bytes = 0;
+  if (__builtin_mul_overflow(static_cast<std::uint64_t>(rows_),
+                             static_cast<std::uint64_t>(chunk_cols_),
+                             &chunk_bytes_) ||
+      __builtin_mul_overflow(chunk_bytes_, sizeof(double), &chunk_bytes_) ||
+      __builtin_mul_overflow(chunk_bytes_, chunks, &data_bytes) ||
+      data_bytes > static_cast<std::uint64_t>(
+                       std::numeric_limits<std::streamoff>::max()) -
+                       sizeof(Header)) {
+    throw IoError(
+        "corrupt snapshot store header (extent overflows a file offset): " +
+        path);
+  }
 }
 
 std::uint64_t SnapshotReader::element_offset(Index row, Index col) const {
   const std::uint64_t chunk = static_cast<std::uint64_t>(col / chunk_cols_);
   const std::uint64_t col_in_chunk = static_cast<std::uint64_t>(col % chunk_cols_);
-  const std::uint64_t chunk_bytes = static_cast<std::uint64_t>(rows_) *
-                                    static_cast<std::uint64_t>(chunk_cols_) *
-                                    sizeof(double);
-  return sizeof(Header) + chunk * chunk_bytes +
+  return sizeof(Header) + chunk * chunk_bytes_ +
          (col_in_chunk * static_cast<std::uint64_t>(rows_) +
           static_cast<std::uint64_t>(row)) *
              sizeof(double);

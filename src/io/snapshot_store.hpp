@@ -66,6 +66,9 @@ class SnapshotWriter {
 /// Random-access reader.
 class SnapshotReader {
  public:
+  /// Throws IoError when the file is not a store or its header is
+  /// corrupt: a non-positive extent, or one whose data region overflows
+  /// a file offset.
   explicit SnapshotReader(const std::string& path);
 
   Index rows() const { return rows_; }
@@ -89,6 +92,7 @@ class SnapshotReader {
   Index rows_ = 0;
   Index snapshots_ = 0;
   Index chunk_cols_ = 0;
+  std::uint64_t chunk_bytes_ = 0;  // rows_ x chunk_cols_ doubles, checked
 };
 
 }  // namespace parsvd::io

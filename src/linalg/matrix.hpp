@@ -32,11 +32,11 @@ class Rng;
 /// in blocked loops, matching the C++ Core Guidelines' advice ES.107).
 using Index = std::ptrdiff_t;
 
-/// Element count of a rows x cols matrix of doubles. Throws
+/// Element count of a rows x cols Matrix or MatrixF. Throws
 /// DimensionError when an extent is negative or the product overflows or
-/// exceeds what a std::vector<double> can hold, so a matrix built from
-/// untrusted dimensions (a file or wire header) can never misreport its
-/// own size.
+/// exceeds what a std::vector<double> can hold (a std::vector<float> can
+/// hold at least as many), so a matrix built from untrusted dimensions
+/// (a file or wire header) can never misreport its own size.
 std::size_t checked_extent(Index rows, Index cols);
 
 /// Dense vector of doubles with a small math-helper surface.
@@ -203,12 +203,10 @@ class Matrix {
 class MatrixF {
  public:
   MatrixF() = default;
+  /// Throws DimensionError on a negative extent or one whose element
+  /// count overflows (checked_extent).
   MatrixF(Index rows, Index cols, float value = 0.0f)
-      : rows_(rows),
-        cols_(cols),
-        data_(static_cast<std::size_t>(rows * cols), value) {
-    PARSVD_REQUIRE(rows >= 0 && cols >= 0, "negative matrix dimension");
-  }
+      : rows_(rows), cols_(cols), data_(checked_extent(rows, cols), value) {}
 
   Index rows() const { return rows_; }
   Index cols() const { return cols_; }

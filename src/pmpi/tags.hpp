@@ -8,9 +8,8 @@
 //     traffic can never be intercepted by (or mistaken for) user
 //     messages on the same channel.
 //   * [100, 1024) — reserved solver protocol ranges, one kRangeWidth-wide
-//     band per protocol. Level-indexed protocols (the TSQR reduction
-//     tree) get a whole band so `base + level` arithmetic stays inside
-//     their reservation by construction.
+//     band per protocol, so `base + level` arithmetic stays inside a
+//     protocol's reservation by construction.
 //   * [1024, ...) — application space: user code that needs stable tags
 //     alongside the solvers should start at kUserBase.
 //   * (-inf, -kGroupScopedBase] — group-scoped bands. Every communicator
@@ -46,18 +45,18 @@ inline constexpr int kBarrier = -11;    // message-based subgroup barrier
 /// a binomial tree over int ranks has at most 31 levels.
 inline constexpr int kRangeWidth = 64;
 
-inline constexpr int kTsqrUpBase = 100;
-inline constexpr int kTsqrDownBase = kTsqrUpBase + kRangeWidth;
+/// First solver band. [kSolverBase, kSolverBase + kRangeWidth) carried
+/// the retired TSQR tree up-sweep; it stays unassigned so no surviving
+/// band was renumbered.
+inline constexpr int kSolverBase = 100;
+inline constexpr int kTsqrDownBase = kSolverBase + kRangeWidth;
 inline constexpr int kApmosGatherBase = kTsqrDownBase + kRangeWidth;
 
 /// First tag applications should use for their own traffic.
 inline constexpr int kUserBase = 1024;
 
-/// TSQR tree up-sweep: R factors flowing toward rank 0, one tag per
-/// tree level so a rank's pre-posted receives are distinct channels.
-constexpr int tsqr_up(int level) { return kTsqrUpBase + level; }
-
-/// TSQR tree down-sweep: Q transforms flowing back toward the leaves.
+/// TSQR Q row-slices flowing from the root back to the ranks; the
+/// direct TSQR posts them all on level 0 of the band.
 constexpr int tsqr_down(int level) { return kTsqrDownBase + level; }
 
 /// APMOS Stage-3 gather of per-rank W blocks (overlapped at root with
@@ -134,8 +133,9 @@ static_assert(is_group_scoped(group_scope(1, kBcast)) &&
 static_assert(scoped_group(group_scope(7, kReduceTree)) == 7 &&
                   unscoped(group_scope(7, kReduceTree)) == kReduceTree,
               "group_scope must round-trip collective tags");
-static_assert(scoped_group(group_scope(3, kTsqrUpBase + 5)) == 3 &&
-                  unscoped(group_scope(3, kTsqrUpBase + 5)) == kTsqrUpBase + 5,
+static_assert(scoped_group(group_scope(3, kTsqrDownBase + 5)) == 3 &&
+                  unscoped(group_scope(3, kTsqrDownBase + 5)) ==
+                      kTsqrDownBase + 5,
               "group_scope must round-trip solver band tags");
 static_assert(group_scope(1, kGroupUserLimit - 1) >
                   group_scope(2, -kGroupTagBias),

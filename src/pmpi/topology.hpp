@@ -3,8 +3,8 @@
 // Each function here derives, from nothing but (rank, P) (plus the
 // payload size, for reduce), WHO a rank talks to and in WHAT order — no
 // payloads, no threads, no Context. The production paths
-// (Communicator collectives in comm.hpp/comm.cpp, tsqr_tree in
-// core/tsqr.cpp) and the static verifier (src/verify) both consume
+// (Communicator collectives in comm.hpp/comm.cpp) and the static
+// verifier (src/verify) both consume
 // these functions, so the schedule the model checker proves
 // deadlock-free is, by construction, the schedule the solvers post.
 // Changing a topology here changes both sides at once; a divergence is
@@ -48,44 +48,6 @@ inline std::vector<int> binomial_children(int vrank, int p, bool ascending) {
   }
   if (!ascending) std::reverse(children.begin(), children.end());
   return children;
-}
-
-/// TSQR reduction-tree schedule: a pure function of (rank, p). A rank
-/// is "active" at level l while rank % 2^(l+1) == 0, receiving from
-/// partner rank + 2^l; it ships its R upward at the level of its
-/// lowest set bit and later receives its down-sweep transform from the
-/// same parent on the matching down-band tag. Every receive is
-/// postable before the local panel factorization — the up-sweep
-/// pipelining tsqr_tree exists for.
-struct TsqrPlan {
-  struct Level {
-    int level;    ///< tree level (levels with no in-range partner skip)
-    int partner;  ///< rank + 2^level, the subtree merged at this level
-  };
-  /// Up-sweep receives in ascending level order (empty for leaf-only
-  /// ranks that merge nothing).
-  std::vector<Level> recvs;
-  /// Level at which this rank ships its R to `parent` (-1 for rank 0).
-  int sent_level = -1;
-  /// Parent rank for the up-sweep send and the down-sweep transform
-  /// receive (-1 for rank 0).
-  int parent = -1;
-};
-
-inline TsqrPlan tsqr_plan(int rank, int p) {
-  TsqrPlan plan;
-  for (int level = 0; (1 << level) < p; ++level) {
-    const int stride = 1 << level;
-    if (rank % (2 * stride) != 0) {
-      plan.sent_level = level;
-      plan.parent = rank - stride;
-      break;
-    }
-    const int partner = rank + stride;
-    if (partner >= p) continue;  // unpaired at this level; stay active
-    plan.recvs.push_back({level, partner});
-  }
-  return plan;
 }
 
 // ------------------------------------------------ reduce topology rule

@@ -684,11 +684,13 @@ bool tag_registered(int tag) {
     if (base >= tags::kGroupUserLimit) return false;
     return base == tags::kBarrier || tag_registered(base);
   }
-  // World collective tags: -2..-7 and -9. The retired -8 and -10 stay
-  // unregistered, so a post on either is caught.
+  // World collective tags: -2..-7 and -9. The retired -8 and -10, and
+  // the retired TSQR up-sweep band below kTsqrDownBase, stay
+  // unregistered, so a post on any of them is caught.
   if (tag >= tags::kFtBcast && tag <= tags::kBcast) return true;
   if (tag == tags::kReduceTree) return true;
-  if (tag >= tags::kTsqrUpBase && tag < tags::kApmosGatherBase + tags::kRangeWidth)
+  if (tag >= tags::kTsqrDownBase &&
+      tag < tags::kApmosGatherBase + tags::kRangeWidth)
     return true;
   return tag >= tags::kUserBase;
 }

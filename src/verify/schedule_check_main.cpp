@@ -92,7 +92,7 @@ void sweep_p(int p, SweepStats* stats) {
   run_check(script_allgather(p, 8), stats);
   run_check(script_allreduce(p, 64), stats);
   run_check(script_allreduce(p, std::uint64_t{1} << 15), stats);
-  run_check(script_tsqr_tree(p, 4), stats);
+  run_check(script_tsqr_direct(p, 4), stats);
   run_check(script_apmos(p, /*w=*/16 + 8 * 6 * 4, /*x=*/16 + 8 * 6 * 4,
                          /*lambda=*/4 * 8),
             stats);
@@ -142,10 +142,10 @@ std::vector<std::vector<GroupSpec>> partitions_for(int p) {
 
 void sweep_groups(int p, SweepStats* stats) {
   constexpr GroupProtocol kProtos[] = {
-      GroupProtocol::TsqrTree,  GroupProtocol::Allreduce,
-      GroupProtocol::Gather,    GroupProtocol::Bcast,
-      GroupProtocol::Barrier,   GroupProtocol::Allgather,
-      GroupProtocol::Reduce,    GroupProtocol::Apmos,
+      GroupProtocol::TsqrDirect, GroupProtocol::Allreduce,
+      GroupProtocol::Gather,     GroupProtocol::Bcast,
+      GroupProtocol::Barrier,    GroupProtocol::Allgather,
+      GroupProtocol::Reduce,     GroupProtocol::Apmos,
   };
   constexpr int kNumProtos = static_cast<int>(std::size(kProtos));
   const std::vector<std::vector<GroupSpec>> partitions = partitions_for(p);

@@ -171,54 +171,21 @@ Schedule script_scatter_rows(int p, int root,
   return s;
 }
 
-Schedule script_tsqr_tree(int p, std::int64_t k) {
-  Schedule s = make_schedule("tsqr_tree(p=" + std::to_string(p) +
+Schedule script_tsqr_direct(int p, std::int64_t k) {
+  Schedule s = make_schedule("tsqr_direct(p=" + std::to_string(p) +
                                  ", k=" + std::to_string(k) + ")",
                              p);
   if (p == 1) return s;
-  // With local rows >= k (the documented precondition), every exchanged
-  // R factor and down-sweep transform is a packed k x k matrix.
+  // With local rows >= k (the documented precondition), every local R,
+  // every Q row-slice of the stack and the final R is a packed k x k
+  // matrix.
   const std::uint64_t kk = matrix_bytes(k, k);
-  for (int r = 0; r < p; ++r) {
-    CommScript& script = s.ranks[static_cast<std::size_t>(r)];
-    const topo::TsqrPlan plan = topo::tsqr_plan(r, p);
-
-    // Pre-posted receive schedule (the pipelined region): every up-sweep
-    // R and the parent's down-sweep transform, before any compute.
-    std::vector<int> up_reqs;
-    up_reqs.reserve(plan.recvs.size());
-    for (const auto& step : plan.recvs) {
-      up_reqs.push_back(script.irecv(
-          step.partner, tags::tsqr_up(step.level), kk,
-          "up-sweep R, level " + std::to_string(step.level)));
-    }
-    int t_req = -1;
-    if (r != 0) {
-      t_req = script.irecv(plan.parent, tags::tsqr_down(plan.sent_level), kk,
-                           "down-sweep transform");
-    }
-
-    // Upward sweep: consume pre-posted receives in level order, then
-    // ship the combined R to the parent.
-    for (std::size_t i = 0; i < up_reqs.size(); ++i) {
-      script.wait(up_reqs[i],
-                  "combine level " + std::to_string(plan.recvs[i].level));
-    }
-    if (plan.sent_level >= 0) {
-      script.send(plan.parent, tags::tsqr_up(plan.sent_level), kk,
-                  "ship R up, level " + std::to_string(plan.sent_level));
-    }
-
-    // Downward sweep: take the transform, unwind in reverse level order.
-    if (r != 0) {
-      script.wait(t_req, "take down-sweep transform");
-    }
-    for (std::size_t i = plan.recvs.size(); i-- > 0;) {
-      script.send(plan.recvs[i].partner, tags::tsqr_down(plan.recvs[i].level),
-                  kk,
-                  "forward transform, level " +
-                      std::to_string(plan.recvs[i].level));
-    }
+  const std::vector<std::uint64_t> r_bytes(static_cast<std::size_t>(p), kk);
+  emit_gather(s, 0, r_bytes, "local R factor");
+  for (int dst = 1; dst < p; ++dst) {
+    s.ranks[0].send(dst, tags::tsqr_down(0), kk, "Q row-slice");
+    s.ranks[static_cast<std::size_t>(dst)].recv(0, tags::tsqr_down(0), kk,
+                                                "Q row-slice");
   }
   emit_bcast(s, 0, kk, "final R bcast");
   return s;
@@ -338,7 +305,7 @@ const char* to_string(GroupProtocol proto) {
       return "allgather";
     case GroupProtocol::Barrier:
       return "barrier";
-    case GroupProtocol::TsqrTree:
+    case GroupProtocol::TsqrDirect:
       return "tsqr";
     case GroupProtocol::Apmos:
       return "apmos";
@@ -370,8 +337,8 @@ Schedule group_protocol_schedule(GroupProtocol proto, int p,
       return script_allgather(p, bytes);
     case GroupProtocol::Barrier:
       return script_group_barrier(p);
-    case GroupProtocol::TsqrTree:
-      return script_tsqr_tree(p, 3);
+    case GroupProtocol::TsqrDirect:
+      return script_tsqr_direct(p, 3);
     case GroupProtocol::Apmos:
       return script_apmos(p, bytes, bytes, 32);
   }

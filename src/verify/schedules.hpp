@@ -48,11 +48,11 @@ Schedule script_allreduce(int p, std::uint64_t bytes);
 Schedule script_scatter_rows(int p, int root,
                              std::span<const std::uint64_t> block_bytes);
 
-/// core/tsqr.cpp tsqr_tree: pre-posted up/down-sweep irecvs, level-
-/// tagged exchanges, final R broadcast. `k` is the panel column count
-/// (every exchanged R / transform is k×k once local rows >= k, the
-/// documented TSQR precondition).
-Schedule script_tsqr_tree(int p, std::int64_t k);
+/// core/tsqr.cpp tsqr_direct: flat gather of the local R factors at
+/// rank 0, p−1 Q row-slice sends on tsqr_down(0), binomial bcast of the
+/// final R. `k` is the panel column count (every R and slice is k×k once
+/// local rows >= k, the documented TSQR precondition).
+Schedule script_tsqr_direct(int p, std::int64_t k);
 
 /// core/apmos.cpp Stage-3 W gather (root pre-posts, consumes via
 /// wait_any) plus the Stage-5 X / Λ result broadcasts.
@@ -97,7 +97,7 @@ enum class GroupProtocol {
   Allreduce,
   Allgather,
   Barrier,
-  TsqrTree,
+  TsqrDirect,
   Apmos,
 };
 

@@ -510,7 +510,7 @@ TEST(FaultDegraded, TsqrExcludesDeadRankAndStaysAFactorization) {
   pmpi::run_on(ctx, [&](Communicator& comm) {
     results[static_cast<std::size_t>(comm.rank())] = tsqr(
         comm, blocks[static_cast<std::size_t>(comm.rank())],
-        TsqrVariant::Direct, /*fault_tolerant=*/true);
+        /*fault_tolerant=*/true);
   });
   EXPECT_FALSE(results[1].has_value());
   for (int r : {0, 2}) {
@@ -542,7 +542,7 @@ TEST(FaultDegraded, StreamingSurvivesKillingOneOfFourMidStream) {
     StreamingOptions opts;
     opts.num_modes = 5;
     opts.fault_tolerant = true;
-    ParallelStreamingSVD svd(comm, opts, TsqrVariant::Direct);
+    ParallelStreamingSVD svd(comm, opts);
     svd.initialize(testing::random_matrix(rows, cols0, 70 + r));
     for (int i = 0; i < updates; ++i) {
       svd.incorporate_data(testing::random_matrix(

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <vector>
 
 #include "io/matrix_io.hpp"
 #include "io/snapshot_store.hpp"
@@ -216,6 +217,46 @@ TEST_F(IoTest, StoreWriteAfterCloseThrows) {
 TEST_F(IoTest, StoreRejectsForeignFile) {
   io::write_matrix(path("notstore.bin"), Matrix(2, 2, 1.0));
   EXPECT_THROW(io::SnapshotReader r(path("notstore.bin")), IoError);
+}
+
+TEST_F(IoTest, StoreRejectsCorruptHeaderWithIoError) {
+  // A store header is untrusted input. rows = 2^61 with chunk_cols = 1
+  // wraps rows * chunk_cols * 8 to 0 in 64 bits, which would alias every
+  // chunk onto the header and first column; non-positive extents are
+  // corrupt too. Each must be an IoError at open, before any read.
+  struct Extents {
+    std::int64_t rows, snapshots, chunk_cols;
+  };
+  const Extents corrupt[] = {
+      {std::int64_t{1} << 61, 2, 1},   // chunk bytes wrap to 0
+      {std::int64_t{1} << 60, 1, 1},   // 2^63 bytes: past any streamoff
+      {0, 1, 1},
+      {-5, 1, 1},
+      {4, -1, 2},
+      {4, 1, 0},
+  };
+  for (const Extents& e : corrupt) {
+    struct {
+      std::uint64_t magic = 0x50535644534e4150ULL;  // "PSVDSNAP"
+      std::uint32_t version = 1;
+      std::uint32_t reserved = 0;
+      std::int64_t rows, snapshots, chunk_cols;
+    } header;
+    static_assert(sizeof(header) == 40);
+    header.rows = e.rows;
+    header.snapshots = e.snapshots;
+    header.chunk_cols = e.chunk_cols;
+    {
+      std::ofstream out(path("corrupt.snap"), std::ios::binary);
+      out.write(reinterpret_cast<const char*>(&header), sizeof(header));
+      const std::vector<double> payload(8, 1.0);
+      out.write(reinterpret_cast<const char*>(payload.data()),
+                static_cast<std::streamsize>(payload.size() * sizeof(double)));
+    }
+    EXPECT_THROW(io::SnapshotReader r(path("corrupt.snap")), IoError)
+        << "rows=" << e.rows << " snapshots=" << e.snapshots
+        << " chunk_cols=" << e.chunk_cols;
+  }
 }
 
 TEST_F(IoTest, StoreHeaderCountsVisibleBeforeClose) {

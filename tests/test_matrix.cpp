@@ -258,6 +258,18 @@ TEST(Matrix, NegativeDimensionsThrow) {
   EXPECT_THROW(Vector(-3), Error);
 }
 
+TEST(MatrixF, NegativeDimensionThrowsDimensionError) {
+  EXPECT_THROW(MatrixF(-1, 2), DimensionError);
+  EXPECT_THROW(MatrixF(3, -4), DimensionError);
+}
+
+TEST(MatrixF, OverflowingExtentThrowsDimensionError) {
+  // 2^32 x 2^32 wraps a 64-bit element count to 0: it must be rejected,
+  // not turned into an empty matrix that misreports its own size.
+  const Index big = Index{1} << 32;
+  EXPECT_THROW(MatrixF(big, big), DimensionError);
+}
+
 TEST(Matrix, EmptyMatrixBehaves) {
   Matrix m;
   EXPECT_TRUE(m.empty());

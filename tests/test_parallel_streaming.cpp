@@ -35,13 +35,12 @@ struct ParallelRun {
 };
 
 ParallelRun run_parallel_streaming(const Matrix& a, int p, Index batch,
-                                   StreamingOptions opts,
-                                   TsqrVariant variant = TsqrVariant::Direct) {
+                                   StreamingOptions opts) {
   ParallelRun out;
   std::mutex mu;
   pmpi::run(p, [&](Communicator& comm) {
     const auto part = partition_rows(a.rows(), p, comm.rank());
-    ParallelStreamingSVD s(comm, opts, variant);
+    ParallelStreamingSVD s(comm, opts);
     Index done = std::min(batch, a.cols());
     s.initialize(a.block(part.offset, 0, part.count, done));
     while (done < a.cols()) {
@@ -165,18 +164,6 @@ TEST(ParallelStreaming, RankCountInvariance) {
       EXPECT_LT(errs[j], 5e-3) << "p=" << p << " mode " << j;
     }
   }
-}
-
-TEST(ParallelStreaming, TsqrVariantsEquivalent) {
-  const Matrix a = burgers_data(256, 60);
-  StreamingOptions opts;
-  opts.num_modes = 4;
-  const ParallelRun direct =
-      run_parallel_streaming(a, 4, 15, opts, TsqrVariant::Direct);
-  const ParallelRun tree =
-      run_parallel_streaming(a, 4, 15, opts, TsqrVariant::Tree);
-  testing::expect_vector_near(direct.s, tree.s, 1e-9);
-  testing::expect_matrix_near(direct.modes, tree.modes, 1e-8);
 }
 
 TEST(ParallelStreaming, GatheredModesOrthonormal) {

@@ -96,25 +96,25 @@ INSTANTIATE_TEST_SUITE_P(
 
 // ----------------------------------------------- parallel sweep (TEST_P)
 
-using ParallelCase = std::tuple<int, int, int>;  // ranks, K, tsqr variant
+using ParallelCase = std::tuple<int, int, int>;  // ranks, K, fault_tolerant
 
 class ParallelStreamingSweep : public ::testing::TestWithParam<ParallelCase> {};
 
 TEST_P(ParallelStreamingSweep, StructuralInvariants) {
-  const auto [p, k, variant_idx] = GetParam();
+  const auto [p, k, fault_tolerant] = GetParam();
   const Matrix& data = shared_data();
-  const auto variant = static_cast<TsqrVariant>(variant_idx);
 
   StreamingOptions opts;
   opts.num_modes = k;
   opts.forget_factor = 0.95;
+  opts.fault_tolerant = fault_tolerant != 0;
 
   Matrix modes;
   Vector sv;
   std::mutex mu;
   pmpi::run(p, [&](Communicator& comm) {
     const auto part = wl::partition_rows(data.rows(), p, comm.rank());
-    ParallelStreamingSVD s(comm, opts, variant);
+    ParallelStreamingSVD s(comm, opts);
     wl::MatrixBatchSource src(data, part.offset, part.count);
     s.initialize(src.next_batch(24));
     while (!src.exhausted()) s.incorporate_data(src.next_batch(24));
@@ -135,7 +135,7 @@ INSTANTIATE_TEST_SUITE_P(
     Configs, ParallelStreamingSweep,
     ::testing::Combine(::testing::Values(1, 2, 3, 5, 8),  // ranks
                        ::testing::Values(2, 6),           // K
-                       ::testing::Values(0, 1)));         // Direct, Tree
+                       ::testing::Values(0, 1)));         // plain, FT
 
 }  // namespace
 }  // namespace parsvd

@@ -57,7 +57,7 @@ TEST(VerifyNegative, TagRegistry) {
   EXPECT_TRUE(tag_registered(pmpi::tags::kBcast));
   EXPECT_TRUE(tag_registered(pmpi::tags::kFtBcast));
   EXPECT_TRUE(tag_registered(pmpi::tags::kReduceTree));
-  EXPECT_TRUE(tag_registered(pmpi::tags::tsqr_up(0)));
+  EXPECT_TRUE(tag_registered(pmpi::tags::tsqr_down(0)));
   EXPECT_TRUE(tag_registered(pmpi::tags::tsqr_down(30)));
   EXPECT_TRUE(tag_registered(pmpi::tags::apmos_w()));
   EXPECT_TRUE(tag_registered(pmpi::tags::kUserBase));
@@ -71,8 +71,10 @@ TEST(VerifyNegative, TagRegistry) {
   EXPECT_FALSE(tag_registered(pmpi::tags::kApmosGatherBase +
                               pmpi::tags::kRangeWidth));
   // -8 and -10 carried the retired tree gather and recursive-doubling
-  // allreduce: a post on either is reported as unregistered.
-  for (const int retired : {-8, -10}) {
+  // allreduce, and [kSolverBase, kTsqrDownBase) the retired TSQR tree
+  // up-sweep: a post on any of them is reported as unregistered.
+  for (const int retired : {-8, -10, pmpi::tags::kSolverBase,
+                            pmpi::tags::kTsqrDownBase - 1}) {
     EXPECT_FALSE(tag_registered(retired));
     Schedule s = make_schedule("post on retired tag", 2);
     s.ranks[1].send(0, retired, 8, "stale post");
@@ -91,7 +93,7 @@ TEST(VerifyNegative, TagRegistryGroupScoped) {
   // A group band holds the group's whole local tag space...
   EXPECT_TRUE(tag_registered(tags::group_scope(1, tags::kBcast)));
   EXPECT_TRUE(tag_registered(tags::group_scope(1, tags::kBarrier)));
-  EXPECT_TRUE(tag_registered(tags::group_scope(3, tags::tsqr_up(12))));
+  EXPECT_TRUE(tag_registered(tags::group_scope(3, tags::tsqr_down(12))));
   EXPECT_TRUE(tag_registered(tags::group_scope(3, tags::apmos_w())));
   EXPECT_TRUE(tag_registered(tags::group_scope(7, tags::kUserBase)));
   EXPECT_TRUE(tag_registered(
@@ -100,6 +102,7 @@ TEST(VerifyNegative, TagRegistryGroupScoped) {
   // offsets past the last mintable group are rejected.
   EXPECT_FALSE(tag_registered(tags::group_scope(1, 0)));
   EXPECT_FALSE(tag_registered(tags::group_scope(2, 7)));
+  EXPECT_FALSE(tag_registered(tags::group_scope(3, tags::kSolverBase)));
   EXPECT_FALSE(tag_registered(
       tags::group_scope(1, tags::kApmosGatherBase + tags::kRangeWidth)));
   EXPECT_FALSE(tag_registered(
@@ -136,7 +139,7 @@ TEST(VerifyGroups, PartitionSchedulesPass) {
       {1, {0, 2, 4, 6}},
       {2, {1, 3, 5, 7}},
   };
-  const std::vector<GroupProtocol> protos{GroupProtocol::TsqrTree,
+  const std::vector<GroupProtocol> protos{GroupProtocol::TsqrDirect,
                                           GroupProtocol::Allreduce};
   const Schedule s = script_partition(9, groups, protos, 512);
   const CheckReport report = check_schedule(s);
@@ -290,18 +293,18 @@ TEST(VerifyCrossValidation, ScatterRows) {
   }
 }
 
-TEST(VerifyCrossValidation, TsqrTree) {
+TEST(VerifyCrossValidation, TsqrDirect) {
   for (const int p : kRankCounts) {
     const Index k = 4;
-    const Schedule s = script_tsqr_tree(p, k);
+    const Schedule s = script_tsqr_direct(p, k);
     expect_matches_reality(s, p, [k](pmpi::Communicator& comm) {
-      Matrix a(8, k);  // local rows >= k, the tree precondition
+      Matrix a(8, k);  // local rows >= k, the emitter's precondition
       for (Index i = 0; i < a.size(); ++i) {
         a.data()[i] = 0.1 * static_cast<double>(
                                 (i * 7 + comm.rank() * 13) % 23) +
                       1.0;
       }
-      tsqr(comm, a, TsqrVariant::Tree);
+      tsqr(comm, a);
     });
   }
 }
@@ -363,10 +366,10 @@ TEST(VerifyCrossValidation, GroupRegistryTotals) {
   constexpr std::size_t n = 64;  // allreduce payload, doubles
   const std::array<int, 4> evens{0, 2, 4, 6};
   const std::array<int, 4> odds{1, 3, 5, 7};
-  // Model: group 1 (evens) runs a tree TSQR, group 2 (odds) an
+  // Model: group 1 (evens) runs a direct TSQR, group 2 (odds) an
   // allreduce followed by a group barrier.
   Schedule s = make_schedule("two subgroup jobs", p);
-  embed_group_schedule(s, script_tsqr_tree(4, k),
+  embed_group_schedule(s, script_tsqr_direct(4, k),
                        GroupSpec{1, {evens.begin(), evens.end()}});
   const GroupSpec odd_spec{2, {odds.begin(), odds.end()}};
   embed_group_schedule(s, script_allreduce(4, n * sizeof(double)),
@@ -384,13 +387,13 @@ TEST(VerifyCrossValidation, GroupRegistryTotals) {
     if (comm.rank() % 2 == 0) {
       auto sub = comm.subgroup(evens);
       ASSERT_TRUE(sub.has_value());
-      Matrix a(8, k);  // local rows >= k, the tree precondition
+      Matrix a(8, k);  // local rows >= k, the emitter's precondition
       for (Index i = 0; i < a.size(); ++i) {
         a.data()[i] =
             0.1 * static_cast<double>((i * 7 + sub->rank() * 13) % 23) +
             1.0;
       }
-      tsqr(*sub, a, TsqrVariant::Tree);
+      tsqr(*sub, a);
     } else {
       auto sub = comm.subgroup(odds);
       ASSERT_TRUE(sub.has_value());
