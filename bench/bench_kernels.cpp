@@ -12,19 +12,13 @@
 //                              agreement and nonzero throughput (ctest
 //                              hook); the full-size claim fields are
 //                              emitted as JSON null — never as fake zeros
-//   bench_kernels --tune       run the autotune sweep first, persist the
-//                              winning profile, and record the
-//                              tuned-vs-default deltas in the JSON
-//   bench_kernels --tune-out=F write the tuned profile to F
-//                              (default parsvd_tune.json)
 //   bench_kernels --out=F      write the JSON trajectory to F
 //   PARSVD_BENCH_OUT=F         same as --out=F
 //
 // JSON schema (schema_version 2):
 //   { bench, schema_version, smoke, hardware_concurrency,
-//     blocking: {f64: {mc..nr}, f32: {mc..nr}, qr_block, tuned},
+//     blocking: {f64: {mc..nr}, f32: {mc..nr}, qr_block},
 //     results: [ {kernel, m, n, k, threads, seconds, gflops, flops} ... ],
-//     autotune: null | {probe_size, f64: {...}, f32: {...}, qr: {...}},
 //     gemm_512_seed_seconds, gemm_512_packed_seconds,
 //     gemm_512_speedup_vs_seed, gemm_f32_512_seconds,
 //     gemm_f32_512_speedup_vs_f64, mixed_rsvd_double_seconds,
@@ -45,7 +39,6 @@
 #include <vector>
 
 #include "core/randomized.hpp"
-#include "linalg/autotune.hpp"
 #include "linalg/blas.hpp"
 #include "linalg/qr.hpp"
 #include "support/env.hpp"
@@ -197,8 +190,6 @@ class Harness {
   std::optional<double> rsvd_mixed_seconds;
   std::optional<double> rsvd_sigma_rel_err;
   std::optional<double> rsvd_single_sigma_rel_err;
-
-  std::optional<parsvd::autotune::SweepResult> tune;
 
  private:
   bool smoke_;
@@ -564,34 +555,6 @@ void smoke_checks(Harness& h) {
   std::printf("smoke checks: %s\n", h.failures() == 0 ? "ok" : "FAILED");
 }
 
-// ---------------------------------------------------------------- tuning
-
-void run_tune(Harness& h, const std::string& profile_out) {
-  std::printf("autotune sweep (%s)...\n", h.smoke() ? "smoke" : "full");
-  parsvd::autotune::SweepResult sweep = parsvd::autotune::sweep(h.smoke());
-  parsvd::autotune::save_profile(sweep.profile, profile_out);
-  std::printf("wrote %s\n", profile_out.c_str());
-  auto report = [](const char* name, const parsvd::autotune::SweepEntry& e) {
-    std::printf(
-        "tune %-4s best mc=%td kc=%td nc=%td mr=%td nr=%td  "
-        "%.4f ms vs default %.4f ms (%.2fx, %d candidates)\n",
-        name, e.best.mc, e.best.kc, e.best.nc, e.best.mr, e.best.nr,
-        e.best_seconds * 1e3, e.default_seconds * 1e3,
-        (e.best_seconds > 0.0) ? e.default_seconds / e.best_seconds : 0.0,
-        e.candidates);
-  };
-  report("f64", sweep.f64);
-  report("f32", sweep.f32);
-  std::printf("tune qr   best block=%td  %.4f ms vs default %.4f ms\n",
-              sweep.profile.qr_block, sweep.qr_best_seconds * 1e3,
-              sweep.qr_default_seconds * 1e3);
-  h.check(sweep.f64.best_seconds <= sweep.f64.default_seconds,
-          "autotune f64 winner slower than the default blocking");
-  h.check(sweep.f32.best_seconds <= sweep.f32.default_seconds,
-          "autotune f32 winner slower than the default blocking");
-  h.tune = std::move(sweep);
-}
-
 // ------------------------------------------------------------ JSON output
 
 void print_opt(std::FILE* f, const char* key, std::optional<double> v,
@@ -603,7 +566,7 @@ void print_opt(std::FILE* f, const char* key, std::optional<double> v,
   }
 }
 
-void print_blocking(std::FILE* f, const parsvd::autotune::Blocking& b) {
+void print_blocking(std::FILE* f, const parsvd::GemmBlocking& b) {
   std::fprintf(f,
                "{\"mc\": %lld, \"kc\": %lld, \"nc\": %lld, \"mr\": %lld, "
                "\"nr\": %lld}",
@@ -627,14 +590,12 @@ bool write_json(const Harness& h, const std::string& path) {
   std::fprintf(f, "  \"smoke\": %s,\n", h.smoke() ? "true" : "false");
   std::fprintf(f, "  \"hardware_concurrency\": %u,\n",
                std::thread::hardware_concurrency());
-  const parsvd::autotune::Profile& prof = parsvd::autotune::active_profile();
   std::fprintf(f, "  \"blocking\": {\"f64\": ");
-  print_blocking(f, prof.f64);
+  print_blocking(f, parsvd::kGemmBlockingF64);
   std::fprintf(f, ", \"f32\": ");
-  print_blocking(f, prof.f32);
-  std::fprintf(f, ", \"qr_block\": %lld, \"tuned\": %s},\n",
-               static_cast<long long>(prof.qr_block),
-               prof.tuned ? "true" : "false");
+  print_blocking(f, parsvd::kGemmBlockingF32);
+  std::fprintf(f, ", \"qr_block\": %lld},\n",
+               static_cast<long long>(parsvd::kQrBlock));
   std::fprintf(f, "  \"results\": [\n");
   const auto& rs = h.results();
   for (std::size_t i = 0; i < rs.size(); ++i) {
@@ -649,40 +610,6 @@ bool write_json(const Harness& h, const std::string& path) {
                  (i + 1 < rs.size()) ? "," : "");
   }
   std::fprintf(f, "  ],\n");
-  if (h.tune.has_value()) {
-    const parsvd::autotune::SweepResult& t = *h.tune;
-    auto entry = [&](const char* name, const parsvd::autotune::SweepEntry& e,
-                     const char* suffix) {
-      std::fprintf(f, "    \"%s\": {\"best\": ", name);
-      print_blocking(f, e.best);
-      std::fprintf(f,
-                   ", \"default_seconds\": %.6e, \"best_seconds\": %.6e, "
-                   "\"speedup\": %.3f, \"candidates\": %d}%s\n",
-                   e.default_seconds, e.best_seconds,
-                   (e.best_seconds > 0.0) ? e.default_seconds / e.best_seconds
-                                          : 0.0,
-                   e.candidates, suffix);
-    };
-    std::fprintf(f, "  \"autotune\": {\n");
-    std::fprintf(f, "    \"probe_size\": %lld,\n",
-                 static_cast<long long>(t.probe_size));
-    entry("f64", t.f64, ",");
-    entry("f32", t.f32, ",");
-    std::fprintf(f,
-                 "    \"qr\": {\"block\": %lld, \"rows\": %lld, \"cols\": %lld, "
-                 "\"default_seconds\": %.6e, \"best_seconds\": %.6e, "
-                 "\"speedup\": %.3f}\n",
-                 static_cast<long long>(t.profile.qr_block),
-                 static_cast<long long>(t.qr_rows),
-                 static_cast<long long>(t.qr_cols), t.qr_default_seconds,
-                 t.qr_best_seconds,
-                 (t.qr_best_seconds > 0.0)
-                     ? t.qr_default_seconds / t.qr_best_seconds
-                     : 0.0);
-    std::fprintf(f, "  },\n");
-  } else {
-    std::fprintf(f, "  \"autotune\": null,\n");
-  }
   print_opt(f, "gemm_512_seed_seconds", h.seed_512_seconds, ",");
   print_opt(f, "gemm_512_packed_seconds", h.packed_512_seconds, ",");
   std::optional<double> speedup_vs_seed;
@@ -717,23 +644,15 @@ bool write_json(const Harness& h, const std::string& path) {
 
 int main(int argc, char** argv) {
   bool smoke = false;
-  bool tune = false;
   std::string out = parsvd::env::get_string("PARSVD_BENCH_OUT",
                                             "BENCH_kernels.json");
-  std::string tune_out = "parsvd_tune.json";
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) {
       smoke = true;
-    } else if (std::strcmp(argv[i], "--tune") == 0) {
-      tune = true;
-    } else if (std::strncmp(argv[i], "--tune-out=", 11) == 0) {
-      tune_out = argv[i] + 11;
     } else if (std::strncmp(argv[i], "--out=", 6) == 0) {
       out = argv[i] + 6;
     } else {
-      std::fprintf(stderr,
-                   "usage: %s [--smoke] [--tune] [--tune-out=PATH] [--out=PATH]\n",
-                   argv[0]);
+      std::fprintf(stderr, "usage: %s [--smoke] [--out=PATH]\n", argv[0]);
       return 2;
     }
   }
@@ -741,7 +660,6 @@ int main(int argc, char** argv) {
   Harness h(smoke);
   smoke_checks(h);  // correctness gate runs in both modes (cheap)
   parsvd::ThreadPool::set_global_threads(1);
-  if (tune) run_tune(h, tune_out);
   bench_gemm(h);
   bench_gemm_f32(h);
   bench_qr(h);

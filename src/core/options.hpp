@@ -63,18 +63,18 @@ struct RandomizedOptions {
   std::uint64_t seed = 0x5eed;
   /// Backend used for the small inner SVD.
   SvdMethod inner_method = SvdMethod::Jacobi;
-  /// Test-matrix family for the range finder. DenseGaussian (the paper's
-  /// operator) unless overridden here or via PARSVD_SKETCH_KIND; Auto
-  /// picks the cheapest kind from the per-shape apply-cost model.
-  sketch::SketchKind sketch_kind = sketch::default_kind();
+  /// Test-matrix family for the range finder. DenseGaussian is the
+  /// paper's operator; Auto picks the cheapest kind from the per-shape
+  /// apply-cost model.
+  sketch::SketchKind sketch_kind = sketch::SketchKind::DenseGaussian;
   /// Arithmetic regime for the range finder (DESIGN §12). Double is the
   /// reference; Mixed runs the sketch apply and power-iteration GEMMs in
   /// fp32 and refines the basis back to fp64 (one fp64 re-orthogonalization
   /// before the fp64 projection) — near-fp64 singular values at fp32
   /// inner-loop cost; Single stays fp32 through the projection (coarse).
-  /// Default from PARSVD_PRECISION; also reached through the nested
-  /// `randomized` options of StreamingOptions / ApmosOptions.
-  Precision precision = default_precision();
+  /// Also reached through the nested `randomized` options of
+  /// StreamingOptions / ApmosOptions.
+  Precision precision = Precision::Double;
 };
 
 /// Streaming (Levy-Lindenbaum) configuration, serial and parallel.

@@ -7,7 +7,6 @@
 #include "linalg/gemm_engine.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "support/env.hpp"
 #include "support/thread_pool.hpp"
 
 namespace parsvd {
@@ -19,25 +18,6 @@ const char* to_string(Precision p) {
     case Precision::Mixed: return "mixed";
   }
   return "double";
-}
-
-Precision precision_from_string(std::string_view s) {
-  if (s == "double") return Precision::Double;
-  if (s == "single") return Precision::Single;
-  if (s == "mixed") return Precision::Mixed;
-  throw Error("unknown precision '" + std::string(s) +
-              "' (expected double | single | mixed)");
-}
-
-Precision default_precision() {
-  static const Precision p =
-      precision_from_string(env::get_string("PARSVD_PRECISION", "double"));
-  return p;
-}
-
-bool compensated_enabled() {
-  static const bool on = env::get_bool("PARSVD_COMPENSATED", false);
-  return on;
 }
 
 MatrixF to_single(const Matrix& a) {
@@ -59,12 +39,6 @@ Matrix to_double(const MatrixF& a) {
 }
 
 namespace {
-
-double dot_naive(std::span<const double> x, std::span<const double> y) {
-  double s = 0.0;
-  for (std::size_t i = 0; i < x.size(); ++i) s += x[i] * y[i];
-  return s;
-}
 
 // Ogita–Rump–Oishi Dot2 core: error-free two-prod (FMA) and two-sum with
 // a single running compensation term — the result is as accurate as if
@@ -88,8 +62,9 @@ double dot2(const double* x, const double* y, std::size_t n) {
 
 double dot(std::span<const double> x, std::span<const double> y) {
   PARSVD_REQUIRE(x.size() == y.size(), "dot: length mismatch");
-  if (compensated_enabled()) return dot_compensated(x, y);
-  return dot_naive(x, y);
+  double s = 0.0;
+  for (std::size_t i = 0; i < x.size(); ++i) s += x[i] * y[i];
+  return s;
 }
 
 double dot_compensated(std::span<const double> x, std::span<const double> y) {
@@ -216,82 +191,10 @@ void ger(double alpha, std::span<const double> x, std::span<const double> y,
 // ===================================================== packed GEMM engine
 //
 // The engine itself lives in linalg/gemm_engine.hpp (precision-templated
-// packing + micro-kernels). This file instantiates the candidate micro
-// tiles per precision and dispatches through a table keyed on the active
-// autotune profile, which is how the autotuner sweeps the compile-time
-// micro shape without recompiling.
+// packing + micro-kernels). This file instantiates one kernel per
+// precision, at kGemmBlockingF64 / kGemmBlockingF32.
 
 namespace {
-
-template <typename T>
-using PackedFn = void (*)(const detail::OpViewT<T>&, const detail::OpViewT<T>&,
-                          Index, Index, Index, T, T*, Index,
-                          const detail::EngineBlocking&);
-
-template <typename T>
-struct KernelEntry {
-  Index mr;
-  Index nr;
-  PackedFn<T> fn;
-};
-
-// One candidate set per precision; kept in sync with the MicroRowOf
-// specializations in gemm_engine.hpp (MR in {4, 8, 16}, NR <= 8).
-template <typename T>
-constexpr KernelEntry<T> kKernels[] = {
-    {4, 6, &detail::gemm_packed_serial<T, 4, 6>},
-    {8, 4, &detail::gemm_packed_serial<T, 8, 4>},
-    {8, 6, &detail::gemm_packed_serial<T, 8, 6>},
-    {8, 8, &detail::gemm_packed_serial<T, 8, 8>},
-    {16, 4, &detail::gemm_packed_serial<T, 16, 4>},
-    {16, 6, &detail::gemm_packed_serial<T, 16, 6>},
-    {16, 8, &detail::gemm_packed_serial<T, 16, 8>},
-};
-
-template <typename T>
-PackedFn<T> find_kernel(Index mr, Index nr) {
-  for (const KernelEntry<T>& e : kKernels<T>) {
-    if (e.mr == mr && e.nr == nr) return e.fn;
-  }
-  return nullptr;
-}
-
-// Resolved per-precision engine configuration: the dispatched micro-kernel
-// plus its cache blocks, from the autotune profile (already sanitized by
-// autotune::active_profile(), but the kernel lookup re-checks and falls
-// back to the default micro tile so a hand-edited profile can't crash us).
-template <typename T>
-struct ActiveConfig {
-  PackedFn<T> fn;
-  detail::EngineBlocking blk;
-  Index mr;
-  Index nr;
-};
-
-template <typename T>
-ActiveConfig<T> resolve_config(const autotune::Blocking& tuned,
-                               const autotune::Blocking& fallback) {
-  autotune::Blocking b = autotune::sanitize(tuned, fallback);
-  PackedFn<T> fn = find_kernel<T>(b.mr, b.nr);
-  if (fn == nullptr) {
-    b = autotune::sanitize(fallback, fallback);
-    fn = find_kernel<T>(b.mr, b.nr);
-  }
-  PARSVD_REQUIRE(fn != nullptr, "gemm: no micro-kernel for default blocking");
-  return {fn, {b.mc, b.kc, b.nc}, b.mr, b.nr};
-}
-
-const ActiveConfig<double>& active_f64() {
-  static const ActiveConfig<double> cfg = resolve_config<double>(
-      autotune::active_profile().f64, autotune::default_profile().f64);
-  return cfg;
-}
-
-const ActiveConfig<float>& active_f32() {
-  static const ActiveConfig<float> cfg = resolve_config<float>(
-      autotune::active_profile().f32, autotune::default_profile().f32);
-  return cfg;
-}
 
 constexpr Index kGemmPackThreshold = 24 * 24 * 24;
 
@@ -299,8 +202,8 @@ constexpr Index kGemmPackThreshold = 24 * 24 * 24;
 // out over disjoint column panels of C (one chunk per pool slot, each
 // running the full packed structure on its slice — thread-local packing
 // buffers, no synchronization on writes).
-template <typename T>
-void accumulate_engine(const ActiveConfig<T>& cfg, const detail::OpViewT<T>& va,
+template <typename T, GemmBlocking cfg>
+void accumulate_engine(const detail::OpViewT<T>& va,
                        const detail::OpViewT<T>& vb, Index m, Index n, Index k,
                        T alpha, T* c, Index ldc, bool allow_parallel) {
   const Index flops_proxy = m * n * k;
@@ -309,6 +212,7 @@ void accumulate_engine(const ActiveConfig<T>& cfg, const detail::OpViewT<T>& va,
     return;
   }
 
+  constexpr auto kernel = &detail::gemm_packed_serial<T, cfg.mr, cfg.nr>;
   if (allow_parallel && flops_proxy >= kGemmParallelThreshold &&
       pool_available()) {
     const std::size_t slots = ThreadPool::global().size() + 1;
@@ -319,12 +223,12 @@ void accumulate_engine(const ActiveConfig<T>& cfg, const detail::OpViewT<T>& va,
         0, static_cast<std::size_t>(n),
         [&](std::size_t lo, std::size_t hi) {
           const Index j0 = static_cast<Index>(lo);
-          cfg.fn(va, vb.shifted_cols(j0), m, static_cast<Index>(hi) - j0, k,
-                 alpha, c + j0 * ldc, ldc, cfg.blk);
+          kernel(va, vb.shifted_cols(j0), m, static_cast<Index>(hi) - j0, k,
+                 alpha, c + j0 * ldc, ldc, cfg);
         },
         grain);
   } else {
-    cfg.fn(va, vb, m, n, k, alpha, c, ldc, cfg.blk);
+    kernel(va, vb, m, n, k, alpha, c, ldc, cfg);
   }
 }
 
@@ -339,8 +243,8 @@ void gemm_accumulate(Trans trans_a, Trans trans_b, Index m, Index n, Index k,
   if (alpha == 0.0 || m == 0 || n == 0 || k == 0) return;
   const OpViewT<double> va = make_op_view(a, lda, trans_a == Trans::Yes);
   const OpViewT<double> vb = make_op_view(b, ldb, trans_b == Trans::Yes);
-  accumulate_engine<double>(active_f64(), va, vb, m, n, k, alpha, c, ldc,
-                            allow_parallel);
+  accumulate_engine<double, kGemmBlockingF64>(va, vb, m, n, k, alpha, c, ldc,
+                                              allow_parallel);
 }
 
 void gemm_accumulate_f32(Trans trans_a, Trans trans_b, Index m, Index n,
@@ -350,33 +254,8 @@ void gemm_accumulate_f32(Trans trans_a, Trans trans_b, Index m, Index n,
   if (alpha == 0.0f || m == 0 || n == 0 || k == 0) return;
   const OpViewT<float> va = make_op_view(a, lda, trans_a == Trans::Yes);
   const OpViewT<float> vb = make_op_view(b, ldb, trans_b == Trans::Yes);
-  accumulate_engine<float>(active_f32(), va, vb, m, n, k, alpha, c, ldc,
-                           allow_parallel);
-}
-
-bool has_kernel_f64(Index mr, Index nr) {
-  return find_kernel<double>(mr, nr) != nullptr;
-}
-
-bool has_kernel_f32(Index mr, Index nr) {
-  return find_kernel<float>(mr, nr) != nullptr;
-}
-
-void gemm_probe_f64(Index m, Index n, Index k, const double* a,
-                    const double* b, double* c,
-                    const autotune::Blocking& blk) {
-  PackedFn<double> fn = find_kernel<double>(blk.mr, blk.nr);
-  PARSVD_REQUIRE(fn != nullptr, "gemm_probe_f64: no such micro-kernel");
-  fn(make_op_view(a, m, false), make_op_view(b, k, false), m, n, k, 1.0, c, m,
-     {blk.mc, blk.kc, blk.nc});
-}
-
-void gemm_probe_f32(Index m, Index n, Index k, const float* a, const float* b,
-                    float* c, const autotune::Blocking& blk) {
-  PackedFn<float> fn = find_kernel<float>(blk.mr, blk.nr);
-  PARSVD_REQUIRE(fn != nullptr, "gemm_probe_f32: no such micro-kernel");
-  fn(make_op_view(a, m, false), make_op_view(b, k, false), m, n, k, 1.0f, c, m,
-     {blk.mc, blk.kc, blk.nc});
+  accumulate_engine<float, kGemmBlockingF32>(va, vb, m, n, k, alpha, c, ldc,
+                                             allow_parallel);
 }
 
 }  // namespace detail
@@ -466,7 +345,6 @@ MatrixF matmul_f32(const MatrixF& a, const MatrixF& b, Trans trans_a,
 }
 
 Matrix gram(const Matrix& a) {
-  if (compensated_enabled()) return gram_compensated(a);
   const Index m = a.rows();
   const Index n = a.cols();
   Matrix g(n, n);

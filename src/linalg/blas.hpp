@@ -14,16 +14,14 @@
 //     throughput, used by the mixed randomized-SVD path which refines
 //     the fp32 subspace back to fp64 (core/randomized.cpp);
 //   * compensated — double-double (two-sum/two-prod) accumulation for
-//     Gram matrices and long-stream dots behind PARSVD_COMPENSATED, for
-//     the ill-conditioned spots where naive fp64 summation loses digits.
+//     Gram matrices and long-stream dots (dot_compensated /
+//     gram_compensated), for the ill-conditioned spots where naive fp64
+//     summation loses digits.
 //
-// Blocking parameters come from the autotune profile (linalg/autotune.hpp):
-// defaults -> PARSVD_TUNE_PROFILE file -> PARSVD_GEMM_MC/KC/NC overrides.
+// The engine runs one fixed configuration per precision
+// (kGemmBlockingF64 / kGemmBlockingF32 below).
 #pragma once
 
-#include <string_view>
-
-#include "linalg/autotune.hpp"
 #include "linalg/matrix.hpp"
 
 namespace parsvd {
@@ -40,12 +38,23 @@ enum class Precision { Double, Single, Mixed };
 
 const char* to_string(Precision p);
 
-/// Parse "double" / "single" / "mixed" (case-sensitive, matching the env
-/// registry); throws parsvd::Error on anything else.
-Precision precision_from_string(std::string_view s);
+/// Cache blocks (MC, KC, NC) and micro tile (MR x NR) of the packed GEMM.
+struct GemmBlocking {
+  Index mc;  ///< rows of the packed A block (L2 resident)
+  Index kc;  ///< panel depth (L1/L2 resident)
+  Index nc;  ///< columns of the packed B block (L3 resident)
+  Index mr;  ///< micro-tile rows
+  Index nr;  ///< micro-tile columns
+};
 
-/// Process-wide default from PARSVD_PRECISION (cached; "double" if unset).
-Precision default_precision();
+/// The fp64 engine's configuration: an 8 x 6 micro tile (eight doubles
+/// fill one 512-bit row) under 96/256/4032 cache blocks.
+inline constexpr GemmBlocking kGemmBlockingF64{96, 256, 4032, 8, 6};
+
+/// The fp32 engine's configuration: fp32 elements are half the bytes, so
+/// KC doubles (same packed panel footprint as fp64) and MR = 16 fills the
+/// same vector width.
+inline constexpr GemmBlocking kGemmBlockingF32{96, 512, 4032, 16, 6};
 
 // ----------------------------------------------------- precision casts
 
@@ -57,8 +66,7 @@ Matrix to_double(const MatrixF& a);
 
 // ------------------------------------------------------------- level 1
 
-/// dot(x, y) = xᵀy. Routes to dot_compensated when PARSVD_COMPENSATED
-/// is on (long-stream dots are one of the two ill-conditioned spots).
+/// dot(x, y) = xᵀy (naive fp64 accumulation).
 double dot(std::span<const double> x, std::span<const double> y);
 
 /// Compensated dot product (Ogita–Rump–Oishi Dot2: two-prod via FMA plus
@@ -99,7 +107,7 @@ void gemm(Trans trans_a, Trans trans_b, double alpha, const Matrix& a,
           const Matrix& b, double beta, Matrix& c);
 
 /// fp32 C = alpha * op(A) op(B) + beta * C through the same packed engine
-/// (float micro-kernels, fp32-tuned blocking). Same shape/alias contract
+/// (fp32 micro-kernel and blocking). Same shape/alias contract
 /// as gemm().
 void gemm_f32(Trans trans_a, Trans trans_b, float alpha, const MatrixF& a,
               const MatrixF& b, float beta, MatrixF& c);
@@ -114,18 +122,13 @@ MatrixF matmul_f32(const MatrixF& a, const MatrixF& b,
 
 /// C = AᵀA (n x n Gram matrix). Only the upper triangle is computed (per
 /// column block, through the packed kernel) and mirrored; column blocks are
-/// partitioned over the thread pool above the GEMM threshold. Routes to
-/// gram_compensated when PARSVD_COMPENSATED is on.
+/// partitioned over the thread pool above the GEMM threshold.
 Matrix gram(const Matrix& a);
 
 /// Compensated Gram matrix: every entry is a Dot2 compensated column dot,
 /// so G = AᵀA carries roughly double-double accumulation accuracy. Much
 /// slower than the packed path — reserved for ill-conditioned spots.
 Matrix gram_compensated(const Matrix& a);
-
-/// True when PARSVD_COMPENSATED requests compensated accumulation for the
-/// routing entry points dot() / gram() (cached once per process).
-bool compensated_enabled();
 
 /// Minimum per-op flop proxy (m*n*k) before GEMM fans out to the thread
 /// pool; exposed so tests can force both the serial and parallel paths.
@@ -153,20 +156,6 @@ void gemm_accumulate_f32(Trans trans_a, Trans trans_b, Index m, Index n,
                          Index k, float alpha, const float* a, Index lda,
                          const float* b, Index ldb, float* c, Index ldc,
                          bool allow_parallel = true);
-
-/// True when an (mr, nr) micro-kernel is instantiated for the precision —
-/// the autotuner's feasibility check for sweep candidates.
-bool has_kernel_f64(Index mr, Index nr);
-bool has_kernel_f32(Index mr, Index nr);
-
-/// Timed-probe entries for the autotuner: run the serial packed engine on
-/// untransposed column-major operands with an *explicit* blocking (cache
-/// blocks and micro tile), bypassing the cached active profile. C += A*B.
-/// Throws parsvd::Error when (blk.mr, blk.nr) has no instantiated kernel.
-void gemm_probe_f64(Index m, Index n, Index k, const double* a,
-                    const double* b, double* c, const autotune::Blocking& blk);
-void gemm_probe_f32(Index m, Index n, Index k, const float* a, const float* b,
-                    float* c, const autotune::Blocking& blk);
 
 }  // namespace detail
 

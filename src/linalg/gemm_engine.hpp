@@ -10,16 +10,16 @@
 //
 // The micro tile (MR, NR) is a compile-time template parameter so the
 // accumulators live in registers; the cache blocks (MC, KC, NC) are
-// runtime values supplied by the autotune profile (src/linalg/autotune.*).
-// blas.cpp instantiates a small candidate set of (T, MR, NR) kernels and
-// dispatches through a table keyed on the active profile, which is how
-// the autotuner gets to sweep the micro shape without recompiling.
+// passed at run time. blas.cpp instantiates one kernel per precision,
+// with the fixed configuration kGemmBlockingF64 / kGemmBlockingF32
+// (blas.hpp).
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
 #include <vector>
 
+#include "linalg/blas.hpp"
 #include "linalg/matrix.hpp"
 
 namespace parsvd::detail {
@@ -44,13 +44,6 @@ OpViewT<T> make_op_view(const T* data, Index ld, bool transposed) {
 }
 
 inline Index engine_round_up(Index v, Index to) { return (v + to - 1) / to * to; }
-
-/// Runtime cache-blocking parameters (one per precision, autotuned).
-struct EngineBlocking {
-  Index mc;
-  Index kc;
-  Index nc;
-};
 
 // Pack op(A)(i0:i0+mc, p0:p0+kc) into MR-wide micro-panels with alpha
 // folded in; short edge panels are zero-padded so the micro-kernel never
@@ -109,18 +102,10 @@ void pack_b_panel(const OpViewT<T>& b, Index p0, Index kc, Index j0, Index nc,
 template <typename T, int MR>
 struct MicroRowOf;  // only the specialized (T, MR) pairs have kernels
 
-typedef double VecD4 __attribute__((vector_size(32), aligned(8)));
 typedef double VecD8 __attribute__((vector_size(64), aligned(8)));
-typedef double VecD16 __attribute__((vector_size(128), aligned(8)));
-typedef float VecF4 __attribute__((vector_size(16), aligned(4)));
-typedef float VecF8 __attribute__((vector_size(32), aligned(4)));
 typedef float VecF16 __attribute__((vector_size(64), aligned(4)));
 
-template <> struct MicroRowOf<double, 4> { using type = VecD4; };
 template <> struct MicroRowOf<double, 8> { using type = VecD8; };
-template <> struct MicroRowOf<double, 16> { using type = VecD16; };
-template <> struct MicroRowOf<float, 4> { using type = VecF4; };
-template <> struct MicroRowOf<float, 8> { using type = VecF8; };
 template <> struct MicroRowOf<float, 16> { using type = VecF16; };
 
 // Accumulators are eight explicitly named locals (NR <= 8) rather than an
@@ -191,7 +176,7 @@ void micro_kernel(Index kc, const T* a_panel, const T* b_panel, T* c,
 template <typename T, int MR, int NR>
 void gemm_packed_serial(const OpViewT<T>& va, const OpViewT<T>& vb, Index m,
                         Index n, Index k, T alpha, T* c, Index ldc,
-                        const EngineBlocking& blk) {
+                        const GemmBlocking& blk) {
   const Index mc_max = std::min(engine_round_up(m, MR), blk.mc);
   const Index nc_max = std::min(engine_round_up(n, NR), blk.nc);
   const Index kc_max = std::min(k, blk.kc);

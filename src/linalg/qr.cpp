@@ -4,7 +4,6 @@
 #include <cmath>
 #include <limits>
 
-#include "linalg/autotune.hpp"
 #include "linalg/blas.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -72,12 +71,6 @@ Reflector make_reflector(double alpha, std::span<double> tail) {
   const double inv = 1.0 / (alpha - beta);
   scal(inv, tail);
   return {tau, beta};
-}
-
-Index default_qr_block() {
-  // The autotune profile already folds in the PARSVD_QR_BLOCK override
-  // (defaults -> profile file -> env; see linalg/autotune.hpp).
-  return autotune::active_profile().qr_block;
 }
 
 // Compact-WY block reflector I − V op(T) Vᵀ of the reflectors
@@ -167,7 +160,7 @@ HouseholderQr::HouseholderQr(Matrix a, Index block) : qr_(std::move(a)) {
       2ull * static_cast<std::uint64_t>(k) * static_cast<std::uint64_t>(k) *
           static_cast<std::uint64_t>(k) / 3);
   tau_.assign(static_cast<std::size_t>(k), 0.0);
-  block_ = (block > 0) ? block : default_qr_block();
+  block_ = (block > 0) ? block : kQrBlock;
   if (block_ <= 1) {
     factor_unblocked();
   } else {

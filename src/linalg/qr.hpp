@@ -2,7 +2,7 @@
 //
 // Householder QR is the workhorse of both the streaming SVD update
 // (Algorithm 1, step 1) and the local stage of TSQR.  The factorization is
-// *blocked*: panels of PARSVD_QR_BLOCK reflectors are factored with a
+// *blocked*: panels of kQrBlock reflectors are factored with a
 // level-2 sweep whose dot/axpy loops carry fixed-width partial sums (so
 // -O3 -march=native vectorizes them), each panel's compact-WY factor
 // Q = I − V T Vᵀ comes from one VᵀV product through the packed GEMM
@@ -30,6 +30,9 @@ struct QrResult {
   Matrix r;
 };
 
+/// Default panel width of the blocked Householder QR.
+inline constexpr Index kQrBlock = 32;
+
 /// Householder QR in factored form.
 ///
 /// Stores the reflectors in the lower triangle of the working copy plus
@@ -40,7 +43,7 @@ class HouseholderQr {
  public:
   /// Factor A (any shape; m >= 1, n >= 1) in place of its own storage
   /// (pass an rvalue to avoid the copy). `block` is the panel width:
-  /// 0 selects the default (PARSVD_QR_BLOCK, default 32), `block <= 1`
+  /// 0 selects the default (kQrBlock), `block <= 1`
   /// forces the unblocked column-at-a-time sweep (the reference path
   /// tests compare against).
   explicit HouseholderQr(Matrix a, Index block = 0);

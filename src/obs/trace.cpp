@@ -8,6 +8,8 @@
 #include <memory>
 #include <mutex>
 
+#include "support/env.hpp"
+
 namespace parsvd::obs {
 namespace {
 
@@ -19,11 +21,8 @@ bool env_flag(const char* name) {
 }
 
 std::size_t default_ring_capacity() {
-  if (const char* v = std::getenv("PARSVD_TRACE_BUFFER")) {
-    const long parsed = std::strtol(v, nullptr, 10);
-    if (parsed > 0) return static_cast<std::size_t>(parsed);
-  }
-  return 16384;
+  return static_cast<std::size_t>(env::get_count(
+      "PARSVD_TRACE_BUFFER", 16384, trace::kMaxEnvRingCapacity));
 }
 
 std::atomic<std::size_t>& ring_capacity_slot() {

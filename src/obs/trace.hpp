@@ -79,6 +79,10 @@ void arm(bool on);
 /// PARSVD_TRACE_BUFFER, else 16384 events).
 void set_ring_capacity(std::size_t events);
 
+/// Largest PARSVD_TRACE_BUFFER accepted (events per thread); a larger
+/// value is a ConfigError.
+inline constexpr std::int64_t kMaxEnvRingCapacity = std::int64_t{1} << 24;
+
 /// Record an instant event on the calling thread's track.
 void instant(const char* name);
 

@@ -36,8 +36,6 @@ Context::Context(int size)
       std::max<std::int64_t>(0, env::get_int("PARSVD_FAULT_TIMEOUT_MS", 0)));
   max_retries_ = static_cast<int>(
       std::max<std::int64_t>(0, env::get_int("PARSVD_FAULT_RETRIES", 3)));
-  const std::int64_t max_mb = env::get_int("PARSVD_MAX_PAYLOAD_MB", 0);
-  if (max_mb > 0) max_payload_ = static_cast<std::uint64_t>(max_mb) << 20;
   FaultPlan env_plan = FaultPlan::from_env();
   if (!env_plan.empty()) set_fault_plan(std::move(env_plan));
 }

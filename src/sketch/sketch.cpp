@@ -1,12 +1,10 @@
 #include "sketch/sketch.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <string>
 
 #include "linalg/blas.hpp"
 #include "obs/trace.hpp"
-#include "support/env.hpp"
 #include "support/error.hpp"
 
 namespace parsvd::sketch {
@@ -55,41 +53,6 @@ const char* to_string(SketchKind kind) {
       return "auto";
   }
   return "unknown";
-}
-
-SketchKind kind_from_string(std::string_view name) {
-  std::string low(name);
-  std::transform(low.begin(), low.end(), low.begin(), [](unsigned char c) {
-    return static_cast<char>(std::tolower(c));
-  });
-  if (low == "dense" || low == "gaussian" || low == "dense_gaussian") {
-    return SketchKind::DenseGaussian;
-  }
-  if (low == "sparse" || low == "sparse_sign" || low == "countsketch") {
-    return SketchKind::SparseSign;
-  }
-  if (low == "srht" || low == "hadamard") {
-    return SketchKind::Srht;
-  }
-  if (low == "auto") {
-    return SketchKind::Auto;
-  }
-  throw ConfigError("unknown sketch kind '" + std::string(name) +
-                    "' (expected dense, sparse, srht or auto)");
-}
-
-SketchKind default_kind() {
-  static const SketchKind kind =
-      kind_from_string(env::get_string("PARSVD_SKETCH_KIND", "dense"));
-  return kind;
-}
-
-Index default_sparse_nnz() {
-  static const Index nnz = [] {
-    const Index v = static_cast<Index>(env::get_int("PARSVD_SKETCH_NNZ", 8));
-    return v > 0 ? v : Index{8};
-  }();
-  return nnz;
 }
 
 std::uint64_t derive_operator_seed(std::uint64_t base_seed, SketchKind kind,
@@ -231,7 +194,7 @@ SketchKind resolve_auto(SketchKind kind, Index m, Index dim,
   const double dense = 2.0 * md * static_cast<double>(sketch_dim);
   const double sparse =
       2.0 * md *
-      static_cast<double>(std::min(default_sparse_nnz(), sketch_dim));
+      static_cast<double>(std::min(kSparseSignNnz, sketch_dim));
   const Index d2 = next_pow2(dim);
   double lg = 0.0;
   for (Index p = 1; p < d2; p <<= 1) lg += 1.0;

@@ -29,7 +29,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string_view>
 #include <vector>
 
 #include "linalg/matrix.hpp"
@@ -48,17 +47,9 @@ enum class SketchKind {
 
 const char* to_string(SketchKind kind);
 
-/// Parse "dense"/"gaussian", "sparse"/"sparse_sign"/"countsketch",
-/// "srht"/"hadamard", "auto" (case-insensitive). Throws on anything else.
-SketchKind kind_from_string(std::string_view name);
-
-/// Process-wide default for RandomizedOptions: PARSVD_SKETCH_KIND (read
-/// once), DenseGaussian when unset — the sketched paths are opt-in.
-SketchKind default_kind();
-
-/// Nonzeros per Ω row for sparse-sign operators: PARSVD_SKETCH_NNZ (read
-/// once), 8 when unset (the SketchySVD operating point).
-Index default_sparse_nnz();
+/// Default nonzeros per Ω row of a sparse-sign operator (the SketchySVD
+/// operating point).
+inline constexpr Index kSparseSignNnz = 8;
 
 // ------------------------------------------------------ seeding contract
 
@@ -162,7 +153,7 @@ class GaussianSketch final : public SketchOperator {
 /// A's columns, threaded over row panels of A.
 class SparseSignSketch final : public SketchOperator {
  public:
-  /// `nnz` == 0 selects min(default_sparse_nnz(), sketch_dim).
+  /// `nnz` == 0 selects min(kSparseSignNnz, sketch_dim).
   SparseSignSketch(Index dim, Index sketch_dim, std::uint64_t seed,
                    Index nnz = 0);
   Index nnz_per_row() const { return nnz_; }

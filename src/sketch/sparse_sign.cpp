@@ -23,7 +23,7 @@ SparseSignSketch::SparseSignSketch(Index dim, Index sketch_dim,
                                    std::uint64_t seed, Index nnz)
     : SketchOperator(SketchKind::SparseSign, dim, sketch_dim, seed),
       nnz_(nnz > 0 ? std::min(nnz, sketch_dim)
-                   : std::min(default_sparse_nnz(), sketch_dim)),
+                   : std::min(kSparseSignNnz, sketch_dim)),
       scale_(1.0 / std::sqrt(static_cast<double>(nnz_))) {}
 
 void SparseSignSketch::row_pattern(Index row, Index* cols,

@@ -14,6 +14,18 @@ std::optional<std::string> get(const std::string& name);
 /// Parse as int64; returns fallback when unset or malformed.
 std::int64_t get_int(const std::string& name, std::int64_t fallback);
 
+/// Parse `value`, the text of variable `name` (nullopt when unset), as a
+/// count in [1, cap]. Returns fallback when unset, malformed or below 1;
+/// throws ConfigError naming `name` when the count exceeds `cap`, so a
+/// typo cannot ask for a million threads or buffer slots.
+std::int64_t parse_count(const std::string& name,
+                         const std::optional<std::string>& value,
+                         std::int64_t fallback, std::int64_t cap);
+
+/// parse_count on the environment variable `name`.
+std::int64_t get_count(const std::string& name, std::int64_t fallback,
+                       std::int64_t cap);
+
 /// Parse as double; returns fallback when unset or malformed.
 double get_double(const std::string& name, double fallback);
 

@@ -9,6 +9,7 @@
 
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <deque>
 #include <exception>
 #include <functional>
@@ -38,6 +39,10 @@ class ThreadPool {
 
   /// Process-wide pool sized from PARSVD_NUM_THREADS (default: hardware).
   static ThreadPool& global();
+
+  /// Largest PARSVD_NUM_THREADS the global pool accepts; a larger value
+  /// is a ConfigError.
+  static constexpr std::int64_t kMaxEnvThreads = 1024;
 
   /// Replace the process-wide pool with one of `threads` workers (0 =
   /// hardware). Used by benchmarks sweeping thread counts; must not be

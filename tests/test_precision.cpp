@@ -4,17 +4,12 @@
 // values (within the 1e-10 refinement tolerance) on the Burgers snapshot
 // matrix and the adversarial spiked spectrum, Single is measurably
 // coarser, compensated dot/Gram survive catastrophic cancellation that
-// naive fp64 summation loses entirely, and the autotune profile
-// round-trips through its JSON persistence.
+// naive fp64 summation loses entirely.
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdio>
-#include <fstream>
-#include <string>
 
 #include "core/randomized.hpp"
-#include "linalg/autotune.hpp"
 #include "linalg/blas.hpp"
 #include "linalg/qr.hpp"
 #include "test_utils.hpp"
@@ -272,75 +267,9 @@ TEST(PrecisionCompensated, GramBeatsNaiveOnIllConditionedColumns) {
 }
 
 TEST(PrecisionParse, RoundTripsAndRejectsJunk) {
-  EXPECT_EQ(precision_from_string("double"), Precision::Double);
-  EXPECT_EQ(precision_from_string("single"), Precision::Single);
-  EXPECT_EQ(precision_from_string("mixed"), Precision::Mixed);
   EXPECT_STREQ(to_string(Precision::Mixed), "mixed");
   EXPECT_STREQ(to_string(Precision::Single), "single");
   EXPECT_STREQ(to_string(Precision::Double), "double");
-  EXPECT_THROW(precision_from_string("fp16"), Error);
-}
-
-TEST(Autotune, ProfileRoundTripsThroughJson) {
-  autotune::Profile p;
-  p.f64 = {128, 384, 4096, 8, 6};
-  p.f32 = {64, 512, 4032, 16, 6};
-  p.qr_block = 48;
-  p.tuned = true;
-  const std::string path = ::testing::TempDir() + "parsvd_tune_roundtrip.json";
-  autotune::save_profile(p, path);
-  autotune::Profile loaded;
-  ASSERT_TRUE(autotune::load_profile(path, loaded));
-  EXPECT_EQ(loaded, p);
-  std::remove(path.c_str());
-}
-
-TEST(Autotune, VersionMismatchIsRejected) {
-  const std::string path = ::testing::TempDir() + "parsvd_tune_badver.json";
-  {
-    std::ofstream out(path);
-    out << "{\n  \"schema_version\": 99,\n  \"tuned\": true,\n"
-        << "  \"f64\": {\"mc\": 96, \"kc\": 256, \"nc\": 4032, \"mr\": 8, "
-           "\"nr\": 6},\n"
-        << "  \"f32\": {\"mc\": 96, \"kc\": 512, \"nc\": 4032, \"mr\": 16, "
-           "\"nr\": 6},\n"
-        << "  \"qr_block\": 32\n}\n";
-  }
-  autotune::Profile loaded = autotune::default_profile();
-  const autotune::Profile before = loaded;
-  EXPECT_FALSE(autotune::load_profile(path, loaded));
-  EXPECT_EQ(loaded, before);  // untouched on rejection
-  std::remove(path.c_str());
-}
-
-TEST(Autotune, SanitizeClampsToLegalFeasibleBlocking) {
-  const autotune::Blocking fallback = autotune::default_profile().f64;
-  // Nonsense request: tiny/huge blocks and an uninstantiated micro tile.
-  autotune::Blocking wild{1, 100000, 3, 5, 7};
-  const autotune::Blocking fixed = autotune::sanitize(wild, fallback);
-  EXPECT_TRUE(detail::has_kernel_f64(fixed.mr, fixed.nr));
-  EXPECT_GE(fixed.mc, fixed.mr);
-  EXPECT_EQ(fixed.mc % fixed.mr, 0);
-  EXPECT_GE(fixed.nc, fixed.nr);
-  EXPECT_EQ(fixed.nc % fixed.nr, 0);
-  EXPECT_GE(fixed.kc, 8);
-  EXPECT_LE(fixed.kc, 8192);
-  // Sane requests pass through unchanged.
-  const autotune::Blocking ok = autotune::sanitize(fallback, fallback);
-  EXPECT_EQ(ok, fallback);
-}
-
-TEST(Autotune, DefaultProfileIsFeasible) {
-  const autotune::Profile p = autotune::default_profile();
-  EXPECT_TRUE(detail::has_kernel_f64(p.f64.mr, p.f64.nr));
-  EXPECT_TRUE(detail::has_kernel_f32(p.f32.mr, p.f32.nr));
-  EXPECT_FALSE(p.tuned);
-  EXPECT_GT(p.qr_block, 0);
-  // The active profile (whatever env this test runs under) is feasible
-  // too — resolution always ends in sanitize().
-  const autotune::Profile& active = autotune::active_profile();
-  EXPECT_TRUE(detail::has_kernel_f64(active.f64.mr, active.f64.nr));
-  EXPECT_TRUE(detail::has_kernel_f32(active.f32.mr, active.f32.nr));
 }
 
 }  // namespace

@@ -64,14 +64,10 @@ TEST(Sketch, NextPow2) {
 }
 
 TEST(Sketch, KindStringsRoundTrip) {
-  for (SketchKind kind : kAllKinds) {
-    EXPECT_EQ(sketch::kind_from_string(sketch::to_string(kind)), kind);
-  }
-  EXPECT_EQ(sketch::kind_from_string("SRHT"), SketchKind::Srht);
-  EXPECT_EQ(sketch::kind_from_string("dense"), SketchKind::DenseGaussian);
-  EXPECT_EQ(sketch::kind_from_string("countsketch"), SketchKind::SparseSign);
-  EXPECT_EQ(sketch::kind_from_string("auto"), SketchKind::Auto);
-  EXPECT_THROW(sketch::kind_from_string("bogus"), ConfigError);
+  EXPECT_STREQ(sketch::to_string(SketchKind::DenseGaussian), "dense_gaussian");
+  EXPECT_STREQ(sketch::to_string(SketchKind::SparseSign), "sparse_sign");
+  EXPECT_STREQ(sketch::to_string(SketchKind::Srht), "srht");
+  EXPECT_STREQ(sketch::to_string(SketchKind::Auto), "auto");
 }
 
 TEST(Sketch, MakeSketchRejectsAuto) {

@@ -6,8 +6,10 @@
 #include <cmath>
 #include <cstdlib>
 #include <set>
+#include <string>
 #include <thread>
 
+#include "obs/trace.hpp"
 #include "support/env.hpp"
 #include "support/error.hpp"
 #include "support/rng.hpp"
@@ -299,6 +301,42 @@ TEST(Env, ParsesBoolVariants) {
   setenv("PARSVD_TEST_ENV_B", "maybe", 1);
   EXPECT_TRUE(env::get_bool("PARSVD_TEST_ENV_B", true));
   unsetenv("PARSVD_TEST_ENV_B");
+}
+
+// The bounded counts behind PARSVD_NUM_THREADS and PARSVD_TRACE_BUFFER,
+// parsed as pure functions: no pool or trace ring is built from them.
+TEST(Env, CountFallsBackOnJunkAndNonPositive) {
+  const std::int64_t cap = ThreadPool::kMaxEnvThreads;
+  EXPECT_EQ(env::parse_count("PARSVD_NUM_THREADS", std::nullopt, 0, cap), 0);
+  for (const char* bad : {"abc", "8x", "0", "-3", ""}) {
+    EXPECT_EQ(env::parse_count("PARSVD_NUM_THREADS", bad, 0, cap), 0) << bad;
+    EXPECT_EQ(env::parse_count("PARSVD_TRACE_BUFFER", bad, 16384,
+                               obs::trace::kMaxEnvRingCapacity),
+              16384)
+        << bad;
+  }
+  EXPECT_EQ(env::parse_count("PARSVD_NUM_THREADS", "8", 0, cap), 8);
+  EXPECT_EQ(env::parse_count("PARSVD_NUM_THREADS", "1024", 0, cap), cap);
+}
+
+TEST(Env, CountAboveCapIsConfigErrorNamingVariable) {
+  const auto expect_rejected = [](const std::string& name,
+                                  const std::string& value, std::int64_t cap) {
+    try {
+      env::parse_count(name, value, 1, cap);
+      ADD_FAILURE() << name << "=" << value << " was accepted";
+    } catch (const ConfigError& e) {
+      EXPECT_NE(std::string(e.what()).find(name), std::string::npos)
+          << e.what();
+    }
+  };
+  expect_rejected("PARSVD_NUM_THREADS", "1025", ThreadPool::kMaxEnvThreads);
+  expect_rejected("PARSVD_NUM_THREADS", "1000000", ThreadPool::kMaxEnvThreads);
+  expect_rejected("PARSVD_TRACE_BUFFER", "16777217",
+                  obs::trace::kMaxEnvRingCapacity);
+  EXPECT_EQ(env::parse_count("PARSVD_TRACE_BUFFER", "16777216", 1,
+                             obs::trace::kMaxEnvRingCapacity),
+            obs::trace::kMaxEnvRingCapacity);
 }
 
 // ---------------------------------------------------------------- errors

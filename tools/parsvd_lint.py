@@ -42,16 +42,6 @@ Rules
                  because it must mirror the wire encoding exactly.
                  Scope: src/, bench/, examples/.
 
-  blocking       A cache-blocking / kernel-tuning environment variable
-                 (PARSVD_GEMM_MC/KC/NC, PARSVD_QR_BLOCK) read outside
-                 src/linalg/. Blocking constants are owned by the
-                 autotune profile (linalg/autotune.cpp resolves
-                 defaults -> PARSVD_TUNE_PROFILE -> env overrides ->
-                 sanitize, once per process); a second read elsewhere
-                 can disagree with what the kernels actually use and
-                 silently skips sanitization. Scope: src/, bench/,
-                 examples/.
-
   ft-wait        A naked wait (wait/wait_any/wait_scoped/recv_matrix/
                  recv_bytes) inside a fault-tolerant collective (any
                  function whose name ends in `_ft`) that is not
@@ -327,45 +317,6 @@ def rule_group_tag(path: pathlib.Path, text: str, findings: list,
              "Communicator translation layer relocate it"))
 
 
-# ----------------------------------------------------------- rule: blocking
-
-BLOCKING_ENV_READ = re.compile(
-    r'(?:env::get_\w+|std::getenv|\bgetenv)\s*\(\s*'
-    r'"(PARSVD_GEMM_(?:MC|KC|NC)|PARSVD_QR_BLOCK)"')
-
-# The autotune profile resolver is the single sanctioned reader: it
-# folds the env overrides into the sanitized per-process profile that
-# the kernels actually dispatch on.
-BLOCKING_EXEMPT_DIRS = {"linalg"}
-
-
-def blocking_exempt(path: pathlib.Path, root) -> bool:
-    if root is None:
-        return False
-    try:
-        parts = path.resolve().relative_to(root).parts
-    except ValueError:
-        return False
-    return len(parts) >= 2 and parts[0] == "src" and \
-        parts[1] in BLOCKING_EXEMPT_DIRS
-
-
-def rule_blocking(path: pathlib.Path, text: str, findings: list,
-                  root=None) -> None:
-    if blocking_exempt(path, root):
-        return
-    # Raw text, not strip_comments: the env name is a string literal,
-    # which comment stripping blanks out (same as rule_env_registry).
-    for m in BLOCKING_ENV_READ.finditer(text):
-        line = text.count("\n", 0, m.start()) + 1
-        findings.append(
-            (path, line, "blocking",
-             f"blocking constant {m.group(1)} read outside src/linalg/; "
-             "query parsvd::autotune::active_profile() instead — it folds "
-             "profile files and env overrides into the sanitized blocking "
-             "the kernels actually use"))
-
-
 # ------------------------------------------------------------ rule: ft-wait
 
 FT_FUNC_DEF = re.compile(r"\b(\w+_ft)\s*\(")
@@ -523,7 +474,6 @@ def main(argv) -> int:
             rule_pipelined(path, text, findings)
             rule_raw_rng(path, text, findings)
             rule_group_tag(path, text, findings)
-            rule_blocking(path, text, findings)
             rule_ft_wait(path, text, findings)
             rule_wall_clock(path, text, findings)
         rule_env_registry(args.files, readme, findings)
@@ -536,7 +486,6 @@ def main(argv) -> int:
             rule_raw_tag(path, text, findings)
             rule_raw_rng(path, text, findings)
             rule_group_tag(path, text, findings, root)
-            rule_blocking(path, text, findings, root)
         for path in src:
             text = path.read_text(encoding="utf-8", errors="replace")
             rule_pipelined(path, text, findings)
