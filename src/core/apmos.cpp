@@ -22,8 +22,11 @@ std::pair<Matrix, Vector> generate_right_vectors(const Matrix& a, Index r1,
   opts.method = method;
   opts.eigh_method = eigh_method;
   opts.rank = std::min(r1, std::min(a.rows(), a.cols()));
-  const SvdResult f = svd(a, opts);
-  return {f.v, f.s};
+  // Only V and Σ are read, so the method of snapshots forms no U.
+  SvdResult f = (method == SvdMethod::MethodOfSnapshots)
+                    ? svd_method_of_snapshots_right(a, opts)
+                    : svd(a, opts);
+  return {std::move(f.v), std::move(f.s)};
 }
 
 ApmosResult apmos_svd(pmpi::Communicator& comm, const Matrix& a_local,

@@ -44,7 +44,8 @@ ApmosResult apmos_svd(pmpi::Communicator& comm, const Matrix& a_local,
 
 /// Stage 1-2 helper, exposed for tests: leading right singular vectors
 /// (n x k) and singular values (k), k = min(r1, min(m, n)).
-/// Mirrors PyParSVD's generate_right_vectors.
+/// Mirrors PyParSVD's generate_right_vectors. With the method of
+/// snapshots only k Gram eigenpairs are solved for and no U is formed.
 std::pair<Matrix, Vector> generate_right_vectors(
     const Matrix& a, Index r1, SvdMethod method,
     EighMethod eigh_method = EighMethod::Jacobi);

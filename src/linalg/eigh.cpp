@@ -4,6 +4,8 @@
 #include <cmath>
 #include <numeric>
 
+#include "obs/trace.hpp"
+
 namespace parsvd {
 namespace {
 
@@ -25,6 +27,7 @@ EighResult eigh(const Matrix& input, const EighOptions& opts) {
   PARSVD_REQUIRE(input.rows() == input.cols(), "eigh requires a square matrix");
   const Index n = input.rows();
   if (n == 0) return {Vector{}, Matrix{}};
+  PARSVD_TRACE_SCOPE("linalg.eigh");
 
   // Validate symmetry, then work on the symmetrized copy so tiny
   // round-off asymmetries from the Gram computation can't bias rotations.
@@ -93,10 +96,11 @@ EighResult eigh(const Matrix& input, const EighOptions& opts) {
   std::stable_sort(order.begin(), order.end(),
                    [&a](Index i, Index j) { return a(i, i) > a(j, j); });
 
+  const Index kept = (opts.rank > 0 && opts.rank < n) ? opts.rank : n;
   EighResult out;
-  out.values = Vector(n);
-  out.vectors = Matrix(n, n);
-  for (Index k = 0; k < n; ++k) {
+  out.values = Vector(kept);
+  out.vectors = Matrix(n, kept);
+  for (Index k = 0; k < kept; ++k) {
     const Index src = order[static_cast<std::size_t>(k)];
     out.values[k] = a(src, src);
     out.vectors.set_col(k, v.col(src));

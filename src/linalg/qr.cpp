@@ -17,17 +17,7 @@ namespace {
 // vector registers under -march=native.
 constexpr Index kLanes = 8;
 
-double dot_lanes(const double* x, const double* y, Index n) {
-  double acc[kLanes] = {};
-  Index i = 0;
-  for (; i + kLanes <= n; i += kLanes) {
-    for (Index l = 0; l < kLanes; ++l) acc[l] += x[i + l] * y[i + l];
-  }
-  double s = 0.0;
-  for (; i < n; ++i) s += x[i] * y[i];
-  for (Index l = 0; l < kLanes; ++l) s += acc[l];
-  return s;
-}
+using detail::dot_lanes;
 
 // ‖x‖₂ from one vectorized sum of squares when that sum can neither have
 // overflowed nor be dominated by underflowed terms; the scaled nrm2
@@ -51,13 +41,27 @@ void reflect(double tau, const double* tail, double* c, Index len) {
   for (Index i = 0; i < len; ++i) c1[i] -= w * tail[i];
 }
 
-// Generate a Householder reflector for x = (alpha; tail) such that
-// (I - tau v vᵀ) x = (beta; 0), with v = (1; tail/ (alpha - beta)).
-// Returns {tau, beta}; v's tail is written over x's tail.
-struct Reflector {
-  double tau;
-  double beta;
-};
+obs::Counter& qr_flops() {
+  static obs::Counter& flops =
+      obs::Registry::global().counter("linalg.qr.flops");
+  return flops;
+}
+
+}  // namespace
+
+namespace detail {
+
+double dot_lanes(const double* x, const double* y, Index n) {
+  double acc[kLanes] = {};
+  Index i = 0;
+  for (; i + kLanes <= n; i += kLanes) {
+    for (Index l = 0; l < kLanes; ++l) acc[l] += x[i + l] * y[i + l];
+  }
+  double s = 0.0;
+  for (; i < n; ++i) s += x[i] * y[i];
+  for (Index l = 0; l < kLanes; ++l) s += acc[l];
+  return s;
+}
 
 Reflector make_reflector(double alpha, std::span<double> tail) {
   const double xnorm = norm_lanes(tail);
@@ -73,21 +77,14 @@ Reflector make_reflector(double alpha, std::span<double> tail) {
   return {tau, beta};
 }
 
-// Compact-WY block reflector I − V op(T) Vᵀ of the reflectors
-// [j0, j0+jb), read in place from the factored matrix `qr`: V = [V1; V2]
-// with V1 the jb x jb unit lower triangle on rows [j0, j0+jb) (unit
-// diagonal implicit, R above it) and V2 the (m−j0−jb) x jb block below.
-// `c` points at row j0 of an nc-column operand with leading dim ldc; its
-// rows [j0, m) become (I − V op(T) Vᵀ) C, i.e. Qᵀ C for transpose=true
-// and Q C otherwise. Only the first `c2_rows` rows of C2 (the part facing
-// V2) may be nonzero on entry. The two tall products run on one thread:
-// the pool's column split would repack the whole tall operand per chunk.
-void apply_wy(const Matrix& qr, Index j0, Index jb, const double* t, Index ldt,
-              bool transpose, double* c, Index ldc, Index nc, Index c2_rows) {
+// V = [V1; V2]: V1 the jb x jb unit lower triangle, V2 the (m − jb) x jb
+// block below it. The two tall products run on one thread: the pool's
+// column split would repack the whole tall operand per chunk.
+void apply_wy(const double* v1, Index ld, Index m, Index jb, const double* t,
+              Index ldt, bool transpose, double* c, Index ldc, Index nc,
+              Index c2_rows) {
   if (nc == 0) return;
-  const Index ld = qr.rows();
-  const Index m2 = ld - j0 - jb;
-  const double* v1 = qr.col_data(j0) + j0;
+  const Index m2 = m - jb;
   const double* v2 = v1 + jb;
   double* c2 = c + jb;
 
@@ -136,13 +133,57 @@ void apply_wy(const Matrix& qr, Index j0, Index jb, const double* t, Index ldt,
   }
 }
 
-obs::Counter& qr_flops() {
-  static obs::Counter& flops =
-      obs::Registry::global().counter("linalg.qr.flops");
-  return flops;
+void build_wy_t(const double* v1, Index ld, Index m, Index jb,
+                const double* tau, double* t, Index ldt) {
+  // Walker's identity: for H_0 ... H_{jb-1} = I − V T Vᵀ,
+  //   T⁻¹ = striu(VᵀV) + diag(1/τ),
+  // so T costs one VᵀV product through the packed engine plus a jb x jb
+  // triangular inverse, instead of LAPACK larft's jb column recurrences.
+  // An identity reflector (τ = 0) drops out of the product: its row and
+  // column of T stay zero.
+  const double* v2 = v1 + jb;
+  for (Index j = 0; j < jb; ++j) std::fill_n(t + j * ldt, jb, 0.0);
+  gemm_accumulate(Trans::Yes, Trans::No, jb, jb, m - jb, 1.0, v2, ld, v2, ld,
+                  t, ldt, /*allow_parallel=*/false);
+  // Add V1ᵀV1's strict upper part (V1 unit lower triangular): for i < l,
+  // v_i · v_l over rows [l, jb) = V1(l,i) + Σ_{r>l} V1(r,i) V1(r,l).
+  for (Index l = 1; l < jb; ++l) {
+    const double* vl = v1 + l * ld;
+    for (Index i = 0; i < l; ++i) {
+      const double* vi = v1 + i * ld;
+      t[i + l * ldt] += vi[l] + dot_lanes(vi + l + 1, vl + l + 1, jb - l - 1);
+    }
+  }
+  // Upper triangle of T⁻¹; identity reflectors get a bare unit diagonal.
+  for (Index j = 0; j < jb; ++j) {
+    for (Index i = j + 1; i < jb; ++i) t[i + j * ldt] = 0.0;
+    if (tau[j] != 0.0) {
+      t[j + j * ldt] = 1.0 / tau[j];
+      continue;
+    }
+    t[j + j * ldt] = 1.0;
+    for (Index i = 0; i < j; ++i) t[i + j * ldt] = 0.0;
+    for (Index l = j + 1; l < jb; ++l) t[j + l * ldt] = 0.0;
+  }
+  // In-place upper-triangular inverse, column by column (LAPACK trti2):
+  // T(0:j, j) = −T(j,j) · T(0:j,0:j) T⁻¹(0:j, j) with the leading block
+  // already inverted.
+  for (Index j = 0; j < jb; ++j) {
+    double* tj = t + j * ldt;
+    tj[j] = 1.0 / tj[j];
+    const double ajj = -tj[j];
+    for (Index i = 0; i < j; ++i) {
+      double s = 0.0;
+      for (Index p = i; p < j; ++p) s += t[i + p * ldt] * tj[p];
+      tj[i] = ajj * s;
+    }
+  }
+  for (Index j = 0; j < jb; ++j) {
+    if (tau[j] == 0.0) t[j + j * ldt] = 0.0;
+  }
 }
 
-}  // namespace
+}  // namespace detail
 
 HouseholderQr::HouseholderQr(Matrix a, Index block) : qr_(std::move(a)) {
   const Index m = qr_.rows();
@@ -180,12 +221,14 @@ void HouseholderQr::factor_blocked() {
   for (Index j0 = 0; j0 < k; j0 += block_) {
     const Index jb = std::min(block_, k - j0);
     factor_panel(j0, jb, j0 + jb);
-    build_t(j0, jb);
+    detail::build_wy_t(qr_.col_data(j0) + j0, m, m - j0, jb,
+                       tau_.data() + j0, t_.col_data(j0), t_.rows());
     const Index next = j0 + jb;
     if (next < n) {
       // Level-3 trailing update: A(j0:m, next:n) := Q_panelᵀ A(j0:m, next:n).
-      apply_wy(qr_, j0, jb, t_.col_data(j0), t_.rows(), /*transpose=*/true,
-               qr_.col_data(next) + j0, m, n - next, m - next);
+      detail::apply_wy(qr_.col_data(j0) + j0, m, m - j0, jb, t_.col_data(j0),
+                       t_.rows(), /*transpose=*/true, qr_.col_data(next) + j0,
+                       m, n - next, m - next);
     }
   }
 }
@@ -196,8 +239,8 @@ void HouseholderQr::factor_panel(Index j0, Index jb, Index update_to) {
     const Index j = j0 + jj;
     double* colj = qr_.col_data(j);
     const Index len = m - j - 1;
-    const Reflector h =
-        make_reflector(colj[j], {colj + j + 1, static_cast<std::size_t>(len)});
+    const detail::Reflector h = detail::make_reflector(
+        colj[j], {colj + j + 1, static_cast<std::size_t>(len)});
     tau_[static_cast<std::size_t>(j)] = h.tau;
     colj[j] = h.beta;
     if (h.tau == 0.0) continue;
@@ -206,60 +249,6 @@ void HouseholderQr::factor_panel(Index j0, Index jb, Index update_to) {
     for (Index c = j + 1; c < update_to; ++c) {
       reflect(h.tau, colj + j + 1, qr_.col_data(c) + j, len);
     }
-  }
-}
-
-void HouseholderQr::build_t(Index j0, Index jb) {
-  // Walker's identity: for H_0 ... H_{jb-1} = I − V T Vᵀ,
-  //   T⁻¹ = striu(VᵀV) + diag(1/τ),
-  // so T costs one VᵀV product through the packed engine plus a jb x jb
-  // triangular inverse, instead of LAPACK larft's jb column recurrences.
-  // An identity reflector (τ = 0) drops out of the product: its row and
-  // column of T stay zero.
-  const Index m = qr_.rows();
-  const Index ldt = t_.rows();
-  double* t = t_.col_data(j0);
-  const double* v1 = qr_.col_data(j0) + j0;
-  const double* v2 = v1 + jb;
-  for (Index j = 0; j < jb; ++j) std::fill_n(t + j * ldt, jb, 0.0);
-  detail::gemm_accumulate(Trans::Yes, Trans::No, jb, jb, m - j0 - jb, 1.0, v2,
-                          m, v2, m, t, ldt, /*allow_parallel=*/false);
-  // Add V1ᵀV1's strict upper part (V1 unit lower triangular): for i < l,
-  // v_i · v_l over rows [l, jb) = V1(l,i) + Σ_{r>l} V1(r,i) V1(r,l).
-  for (Index l = 1; l < jb; ++l) {
-    const double* vl = v1 + l * m;
-    for (Index i = 0; i < l; ++i) {
-      const double* vi = v1 + i * m;
-      t[i + l * ldt] += vi[l] + dot_lanes(vi + l + 1, vl + l + 1, jb - l - 1);
-    }
-  }
-  // Upper triangle of T⁻¹; identity reflectors get a bare unit diagonal.
-  for (Index j = 0; j < jb; ++j) {
-    const double tau = tau_[static_cast<std::size_t>(j0 + j)];
-    for (Index i = j + 1; i < jb; ++i) t[i + j * ldt] = 0.0;
-    if (tau != 0.0) {
-      t[j + j * ldt] = 1.0 / tau;
-      continue;
-    }
-    t[j + j * ldt] = 1.0;
-    for (Index i = 0; i < j; ++i) t[i + j * ldt] = 0.0;
-    for (Index l = j + 1; l < jb; ++l) t[j + l * ldt] = 0.0;
-  }
-  // In-place upper-triangular inverse, column by column (LAPACK trti2):
-  // T(0:j, j) = −T(j,j) · T(0:j,0:j) T⁻¹(0:j, j) with the leading block
-  // already inverted.
-  for (Index j = 0; j < jb; ++j) {
-    double* tj = t + j * ldt;
-    tj[j] = 1.0 / tj[j];
-    const double ajj = -tj[j];
-    for (Index i = 0; i < j; ++i) {
-      double s = 0.0;
-      for (Index p = i; p < j; ++p) s += t[i + p * ldt] * tj[p];
-      tj[i] = ajj * s;
-    }
-  }
-  for (Index j = 0; j < jb; ++j) {
-    if (tau_[static_cast<std::size_t>(j0 + j)] == 0.0) t[j + j * ldt] = 0.0;
   }
 }
 
@@ -307,8 +296,9 @@ Matrix HouseholderQr::q_times(const Matrix& s) const {
     flops += 2ull * static_cast<std::uint64_t>(jb) *
              static_cast<std::uint64_t>(nc) *
              static_cast<std::uint64_t>((filled - j0) + (m - j0));
-    apply_wy(qr_, j0, jb, t_.col_data(j0), t_.rows(), /*transpose=*/false,
-             c.data() + j0, m, nc, filled - j0 - jb);
+    detail::apply_wy(qr_.col_data(j0) + j0, m, m - j0, jb, t_.col_data(j0),
+                     t_.rows(), /*transpose=*/false, c.data() + j0, m, nc,
+                     filled - j0 - jb);
     filled = m;
   }
   qr_flops().add(flops);
@@ -325,8 +315,8 @@ void HouseholderQr::apply_blocked(Matrix& b, bool transpose) const {
     const Index blk = transpose ? bi : nblocks - 1 - bi;
     const Index j0 = blk * block_;
     const Index jb = std::min(block_, k - j0);
-    apply_wy(qr_, j0, jb, t_.col_data(j0), t_.rows(), transpose,
-             b.data() + j0, m, nc, m - j0 - jb);
+    detail::apply_wy(qr_.col_data(j0) + j0, m, m - j0, jb, t_.col_data(j0),
+                     t_.rows(), transpose, b.data() + j0, m, nc, m - j0 - jb);
   }
 }
 

@@ -83,10 +83,6 @@ class HouseholderQr {
   /// Level-2 panel sweep over columns [j0, j0+jb); reflections are applied
   /// to columns [j0, update_to) only.
   void factor_panel(Index j0, Index jb, Index update_to);
-  /// Compact-WY T factor of reflectors [j0, j0+jb) (jb x jb upper
-  /// triangular, LAPACK larft's forward convention), written to
-  /// t_(0:jb, j0:j0+jb).
-  void build_t(Index j0, Index jb);
   /// B := Q B (forward=false) or Qᵀ B (forward=true) for B with qr_.rows()
   /// rows, using the blocked WY representation.
   void apply_blocked(Matrix& b, bool transpose) const;
@@ -160,5 +156,43 @@ Index orthonormalize_cholqr2_f32(MatrixF& a, float tol = 1e-5f);
 
 /// || QᵀQ - I ||_max — orthogonality defect used widely in tests.
 double orthogonality_error(const Matrix& q);
+
+namespace detail {
+
+// Householder building blocks on raw column-major storage, shared by the
+// blocked QR and the tridiagonal reduction of the symmetric eigensolver
+// (linalg/eigh_tridiagonal.cpp). A reflector block is LAPACK-style: jb
+// reflectors in an m x jb column block with leading dim `ld`, reflector
+// j having an implicit unit on row j and its tail on rows (j, m).
+
+/// xᵀy over n entries with fixed-width partial sums (vectorizable
+/// without reassociation flags).
+double dot_lanes(const double* x, const double* y, Index n);
+
+struct Reflector {
+  double tau;
+  double beta;
+};
+
+/// Householder reflector for x = (alpha; tail) with
+/// (I − tau v vᵀ) x = (beta; 0), v = (1; tail / (alpha − beta)).
+/// v's tail is written over x's tail; tau = 0 when the tail is zero.
+Reflector make_reflector(double alpha, std::span<double> tail);
+
+/// Compact-WY factor of the block starting at `v1` (the unit diagonal of
+/// its first reflector): H_0 ⋯ H_{jb−1} = I − V T Vᵀ, T jb x jb upper
+/// triangular (LAPACK larft's forward convention), written to t.
+void build_wy_t(const double* v1, Index ld, Index m, Index jb,
+                const double* tau, double* t, Index ldt);
+
+/// C := (I − V op(T) Vᵀ) C for the block starting at `v1`: Qᵀ C for
+/// transpose=true, Q C otherwise. `c` points at the operand row facing
+/// v1 (m rows, nc columns, leading dim ldc). Only the first `c2_rows`
+/// rows below the jb x jb triangle may be nonzero on entry.
+void apply_wy(const double* v1, Index ld, Index m, Index jb, const double* t,
+              Index ldt, bool transpose, double* c, Index ldc, Index nc,
+              Index c2_rows);
+
+}  // namespace detail
 
 }  // namespace parsvd

@@ -168,38 +168,44 @@ SvdResult svd_jacobi(const Matrix& a, const SvdOptions& opts) {
   return out;
 }
 
-SvdResult svd_method_of_snapshots(const Matrix& a, const SvdOptions& opts) {
+SvdResult svd_method_of_snapshots_right(const Matrix& a,
+                                        const SvdOptions& opts) {
   PARSVD_REQUIRE(!a.empty(), "svd of an empty matrix");
-  const Index n = a.cols();
-
-  // Gram matrix AᵀA = V Σ² Vᵀ; eigh gives descending eigenvalues.
-  const Matrix g = gram(a);
+  // Gram matrix AᵀA = V Σ² Vᵀ; eigh gives descending eigenvalues and,
+  // with a rank, only that many pairs.
   EighOptions eopts;
   eopts.method = opts.eigh_method;
-  EighResult eig = eigh(g, eopts);
+  eopts.rank = opts.rank;
+  EighResult eig = eigh(gram(a), eopts);
 
   SvdResult out;
-  out.s = Vector(n);
-  out.v = std::move(eig.vectors);
+  const Index k = eig.values.size();
+  out.s = Vector(k);
   // Eigenvalues of a Gram matrix are >= 0 in exact arithmetic; clamp
   // round-off negatives.
-  for (Index j = 0; j < n; ++j) {
+  for (Index j = 0; j < k; ++j) {
     out.s[j] = std::sqrt(std::max(eig.values[j], 0.0));
   }
+  out.v = std::move(eig.vectors);
+  return out;
+}
 
-  // U = A V Σ⁻¹, computed only for numerically nonzero singular values.
-  const double cutoff = (n > 0 ? out.s[0] : 0.0) * 1e-14;
+SvdResult svd_method_of_snapshots(const Matrix& a, const SvdOptions& opts) {
+  SvdResult out = svd_method_of_snapshots_right(a, opts);
+  const Index k = out.s.size();
+
+  // U = A V Σ⁻¹ for the kept columns, computed only for numerically
+  // nonzero singular values.
+  const double cutoff = (k > 0 ? out.s[0] : 0.0) * 1e-14;
   out.u = matmul(a, out.v);
-  for (Index j = 0; j < n; ++j) {
+  for (Index j = 0; j < k; ++j) {
     if (out.s[j] > cutoff && out.s[j] > 0.0) {
       scal(1.0 / out.s[j], out.u.col_span(j));
     } else {
       auto col = out.u.col_span(j);
       std::fill(col.begin(), col.end(), 0.0);
-      out.s[j] = (out.s[j] > 0.0) ? out.s[j] : 0.0;
     }
   }
-  truncate(out, opts.rank);
   return out;
 }
 

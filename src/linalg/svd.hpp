@@ -8,7 +8,9 @@
 //                         O(m n^2) with a tiny constant; the classical POD
 //                         route and the one the APMOS paper assumes when
 //                         m >> n. Loses half the digits for σ near
-//                         sqrt(eps)·σ_max, which tests document.
+//                         sqrt(eps)·σ_max, which tests document. With a
+//                         rank k it solves the Gram eigenproblem for k
+//                         pairs only and forms U = A V Σ⁻¹ for k columns.
 // Having two backends lets the test suite cross-validate them against each
 // other on random matrices — the strongest correctness check available
 // without a reference LAPACK.
@@ -40,7 +42,9 @@ enum class SvdMethod {
 
 struct SvdOptions {
   SvdMethod method = SvdMethod::Jacobi;
-  /// Keep only the leading `rank` triplets; 0 = full thin SVD.
+  /// Keep only the leading `rank` triplets; 0 = full thin SVD. The
+  /// method-of-snapshots backend computes only those; the others
+  /// truncate a full factorization.
   Index rank = 0;
   /// Jacobi sweep convergence threshold on normalized column coherence.
   double tol = 1e-13;
@@ -58,6 +62,12 @@ SvdResult svd(const Matrix& a, const SvdOptions& opts = {});
 SvdResult svd_jacobi(const Matrix& a, const SvdOptions& opts = {});
 SvdResult svd_method_of_snapshots(const Matrix& a, const SvdOptions& opts = {});
 SvdResult svd_golub_kahan(const Matrix& a, const SvdOptions& opts = {});
+
+/// Method-of-snapshots Σ and V without U (u is left empty), for callers
+/// that never read the left vectors (APMOS stages 1-2). With opts.rank
+/// the Gram eigenproblem itself is solved for only that many pairs.
+SvdResult svd_method_of_snapshots_right(const Matrix& a,
+                                        const SvdOptions& opts = {});
 
 /// Singular values only (cheapest path; currently Jacobi-backed).
 Vector singular_values(const Matrix& a);

@@ -450,7 +450,9 @@ class Communicator {
     check_tag(tag);
     check_payload(data.size_bytes());
     std::vector<std::byte> payload(data.size_bytes());
-    std::memcpy(payload.data(), data.data(), data.size_bytes());
+    if (!payload.empty()) {
+      std::memcpy(payload.data(), data.data(), payload.size());
+    }
     post_scoped(dest, tag, std::move(payload));
   }
 
@@ -464,7 +466,9 @@ class Communicator {
     PARSVD_REQUIRE(payload.size() % sizeof(T) == 0,
                    "received payload not a whole number of elements");
     std::vector<T> out(payload.size() / sizeof(T));
-    std::memcpy(out.data(), payload.data(), payload.size());
+    if (!payload.empty()) {
+      std::memcpy(out.data(), payload.data(), payload.size());
+    }
     return out;
   }
 
@@ -484,7 +488,9 @@ class Communicator {
     check_tag(tag);
     check_payload(data.size_bytes());
     std::vector<std::byte> payload(data.size_bytes());
-    std::memcpy(payload.data(), data.data(), data.size_bytes());
+    if (!payload.empty()) {
+      std::memcpy(payload.data(), data.data(), payload.size());
+    }
     post_scoped(dest, tag, std::move(payload));
     return Request(ctx_, Request::Kind::Send, wr(rank_), wr(dest),
                    wire_tag(tag), /*done=*/true);
@@ -638,13 +644,17 @@ void Communicator::bcast(std::vector<T>& data, int root) {
     const int parent = (topology::binomial_parent(vrank) + root) % p;
     const std::vector<std::byte> payload = wait_scoped(parent, tags::kBcast);
     data.resize(payload.size() / sizeof(T));
-    std::memcpy(data.data(), payload.data(), payload.size());
+    if (!payload.empty()) {
+      std::memcpy(data.data(), payload.data(), payload.size());
+    }
   }
   for (const int child_v :
        topology::binomial_children(vrank, p, /*ascending=*/false)) {
     const int child = (child_v + root) % p;
     std::vector<std::byte> payload(data.size() * sizeof(T));
-    std::memcpy(payload.data(), data.data(), payload.size());
+    if (!payload.empty()) {
+      std::memcpy(payload.data(), data.data(), payload.size());
+    }
     post_scoped(child, tags::kBcast, std::move(payload));
   }
 }

@@ -165,7 +165,9 @@ TEST(Sketch, SrhtStructure) {
   for (std::size_t t = 0; t < op.selected().size(); ++t) {
     EXPECT_GE(op.selected()[t], 0);
     EXPECT_LT(op.selected()[t], 64);
-    if (t > 0) EXPECT_LT(op.selected()[t - 1], op.selected()[t]);
+    if (t > 0) {
+      EXPECT_LT(op.selected()[t - 1], op.selected()[t]);
+    }
   }
   // Every realized entry is ±1/√s.
   const double mag = 1.0 / std::sqrt(static_cast<double>(s));
